@@ -97,7 +97,6 @@ SweepRow run_config(const TiledArchive& archive, const ProgressiveLinearModel& p
   config.dispatchers = dispatchers;
   config.queue_capacity = queue_depth;
   config.result_cache_entries = 512;
-  config.tile_cache_entries = 4096;
   config.metrics = metrics;  // nullptr = fully inert handles (the no-op build)
   config.tracer = tracer;
   QueryEngine engine(config);

@@ -1,7 +1,7 @@
 #pragma once
 // Per-tile / per-pixel kernels shared by the serial progressive executors
-// (core/progressive_exec.cpp) and their tile-parallel variants
-// (engine/parallel_exec.cpp).
+// (core/progressive_exec.cpp) and their tile-parallel, sharded and batched
+// variants (engine/).
 //
 // Each kernel scans one pixel rectangle — a tile, a row band, or the whole
 // scene — into a caller-owned TopK accumulator, charging a caller-owned
@@ -11,26 +11,34 @@
 // serial and parallel executors can share this code and stay answer-
 // identical.
 //
-// Offers carry the pixel's row-major offset (`pixel_rank`) as the TopK rank,
-// so exact score ties resolve to the canonical (score desc, rank asc) set no
-// matter which order a scan visits pixels: serial, tile-parallel, sharded and
-// batched runs of the same query return byte-identical results.
+// Offers carry the pixel's row-major position (`pixel_rank`) as the TopK
+// rank, so exact score ties resolve to the canonical (score desc, rank asc)
+// set no matter which order a scan visits pixels: serial, tile-parallel,
+// sharded and batched runs of the same query — and the merge of their
+// partials — return byte-identical results.
+//
+// How a screened executor gets its tile bounds is decided here alone:
+// screen_tiles() charges and runs the metadata pass for every one of them.
 //
 // The staged kernel takes its abandoning threshold through a callable so the
 // serial executor can pass the local heap threshold and the parallel one can
 // splice in the shared cross-worker threshold (a stale value only weakens
 // pruning, never soundness).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "archive/tiled.hpp"
 #include "core/progressive_exec.hpp"
 #include "core/raster_model.hpp"
 #include "linear/progressive.hpp"
+#include "obs/trace.hpp"
 #include "util/cost.hpp"
 #include "util/topk.hpp"
 
@@ -38,17 +46,20 @@ namespace mmir::exec {
 
 inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Canonical total-order rank of a pixel: its row-major offset.  Feeding this
-/// as the TopK tie-break makes every executor's result a pure function of the
-/// scored pixel multiset, independent of visit order.
-inline std::uint64_t pixel_rank(const TiledArchive& archive, std::size_t x, std::size_t y) {
-  return static_cast<std::uint64_t>(y) * archive.width() + x;
+/// Canonical total-order rank of a pixel: row-major (row, then column), so
+/// for any archive narrower than 2^32 pixels it orders exactly like the
+/// row-major offset y·width + x.  Feeding this as the TopK tie-break makes
+/// every executor's result a pure function of the scored pixel multiset,
+/// independent of visit order; needing no archive, it also ranks hits at a
+/// merge that only sees their coordinates.
+inline std::uint64_t pixel_rank(std::size_t x, std::size_t y) {
+  return (static_cast<std::uint64_t>(y) << 32) | static_cast<std::uint64_t>(x);
 }
 
 /// Smallest pixel_rank inside a tile (its top-left corner) — the strongest
 /// rank any of its pixels could bring to an exact-tie contest.
-inline std::uint64_t tile_min_rank(const TiledArchive& archive, const TileSummary& tile) {
-  return static_cast<std::uint64_t>(tile.y0) * archive.width() + tile.x0;
+inline std::uint64_t tile_min_rank(const TileSummary& tile) {
+  return pixel_rank(tile.x0, tile.y0);
 }
 
 /// Drains a TopK accumulator into a best-first hit vector.
@@ -130,7 +141,7 @@ inline void scan_rect_full(const TiledArchive& archive, const RasterModel& model
         ++tally.bad_points;
         continue;
       }
-      top.offer_ranked(score, pixel_rank(archive, x, y), RasterHit{x, y, score});
+      top.offer_ranked(score, pixel_rank(x, y), RasterHit{x, y, score});
     }
   }
 }
@@ -157,50 +168,50 @@ inline void scan_rect_staged(const TiledArchive& archive, const ProgressiveLinea
       // >= rather than >: a candidate tying the threshold can still displace
       // a worse-ranked incumbent under the canonical (score, rank) order.
       if (score >= top.threshold() &&
-          top.offer_ranked(score, pixel_rank(archive, x, y), RasterHit{x, y, score})) {
+          top.offer_ranked(score, pixel_rank(x, y), RasterHit{x, y, score})) {
         on_offer();
       }
     }
   }
 }
 
-/// Per-tile model bounds and the screening visit order (descending interval
-/// upper bound).  Charges the meter one model-bound evaluation per tile —
-/// the metadata-level work of the data leg.
-struct TileBounds {
-  std::vector<Interval> bounds;     ///< per-tile model interval, tile index order
-  std::vector<std::size_t> order;   ///< tile indices, best upper bound first
+/// One tile's screening bound: the upper end of the model interval over the
+/// tile's per-band summary ranges.
+struct TileBound {
+  double hi = 0.0;
+  std::size_t tile = 0;  ///< global tile index
 };
 
-/// Computes `bounds` (without ordering) for every tile.  Split out so the
-/// engine's tile-summary cache can serve individual tiles (engine/cache.hpp).
-inline void tile_bounds_into(const TiledArchive& archive, const RasterModel& model,
-                             std::vector<Interval>& bounds, CostMeter& meter) {
+/// The metadata pass of every tile-screened executor.  Charges the context
+/// one model-bound evaluation per tile, then bounds each tile (metering the
+/// same ops) and orders them best upper bound first, ties toward the lower
+/// tile index.  Returns nullopt, with nothing computed or metered, when the
+/// charge stops the context; the caller's missed bound is then its whole
+/// domain's.
+inline std::optional<std::vector<TileBound>> screen_tiles(const TiledArchive& archive,
+                                                          const RasterModel& model,
+                                                          std::span<const std::size_t> tile_ids,
+                                                          QueryContext& ctx, CostMeter& meter) {
+  const std::uint64_t ops = tile_ids.size() * model.ops_per_evaluation();
+  if (!ctx.charge(ops)) return std::nullopt;
   const auto tiles = archive.tiles();
-  bounds.resize(tiles.size());
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    bounds[t] = model.bound(tiles[t].band_range);
-    // Metadata-level work: one model-bound evaluation per tile.
-    meter.add_ops(model.ops_per_evaluation());
-  }
-}
-
-/// Sorts tile indices by descending bound upper bound.
-inline std::vector<std::size_t> order_by_bound(const std::vector<Interval>& bounds) {
-  std::vector<std::size_t> order(bounds.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return bounds[a].hi > bounds[b].hi; });
+  std::vector<TileBound> order;
+  order.reserve(tile_ids.size());
+  for (std::size_t t : tile_ids) order.push_back({model.bound(tiles[t].band_range).hi, t});
+  meter.add_ops(ops);
+  std::sort(order.begin(), order.end(), [](const TileBound& a, const TileBound& b) {
+    return a.hi != b.hi ? a.hi > b.hi : a.tile < b.tile;
+  });
   return order;
 }
 
-/// Bounds + visit order in one step (the serial executors' metadata pass).
-inline TileBounds compute_tile_bounds(const TiledArchive& archive, const RasterModel& model,
-                                      CostMeter& meter) {
-  TileBounds tb;
-  tile_bounds_into(archive, model, tb.bounds, meter);
-  tb.order = order_by_bound(tb.bounds);
-  return tb;
+/// screen_tiles over every tile of the archive.
+inline std::optional<std::vector<TileBound>> screen_tiles(const TiledArchive& archive,
+                                                          const RasterModel& model,
+                                                          QueryContext& ctx, CostMeter& meter) {
+  std::vector<std::size_t> all(archive.tiles().size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return screen_tiles(archive, model, all, ctx, meter);
 }
 
 /// Sound upper bound on the model anywhere in the archive (finite data only),
@@ -230,6 +241,37 @@ inline TilePrune screen_tile(const TopK<RasterHit>& top, double tile_hi,
   if (tile_hi < threshold) return TilePrune::kPruneRest;
   if (tile_hi == threshold && tile_min_rank >= top.worst_rank()) return TilePrune::kPruneOne;
   return TilePrune::kScan;
+}
+
+/// Closes out an executor's trace span: result shape plus the meter's totals
+/// at stage close (per-pixel work is charged to the meter, never traced
+/// per-event, so tracing cost stays per-stage).
+inline void annotate_result(const obs::Span& span, const RasterTopK& out,
+                            const CostMeter& meter) {
+  if (!span.active()) return;
+  span.annotate("hits", static_cast<double>(out.hits.size()));
+  span.annotate("bad_points", static_cast<double>(out.bad_points));
+  span.annotate("meter_points", static_cast<double>(meter.points()));
+  span.annotate("meter_ops", static_cast<double>(meter.ops()));
+  span.annotate("meter_pruned", static_cast<double>(meter.pruned()));
+  span.note("status", to_string(out.status));
+}
+
+/// Publishes the §4.2 efficiency-model inputs on an executor span: archive
+/// size n (total pixels), full-model cost N (ops per full evaluation),
+/// pixels whose evaluation began, and the ops spent inside the scan stage
+/// (excluding the metadata pass).  obs::ExplainReport derives the empirical
+/// pm = visited·N / scan_ops and pd = n / visited from exactly these four,
+/// whichever execution path (serial, parallel, sharded, batched) emitted them.
+inline void annotate_efficiency(const obs::Span& span, const TiledArchive& archive,
+                                std::uint64_t model_terms, std::uint64_t pixels_visited,
+                                std::uint64_t scan_ops) {
+  if (!span.active()) return;
+  span.annotate("total_pixels",
+                static_cast<double>(archive.width()) * static_cast<double>(archive.height()));
+  span.annotate("model_terms", static_cast<double>(model_terms));
+  span.annotate("pixels_visited", static_cast<double>(pixels_visited));
+  span.annotate("scan_ops", static_cast<double>(scan_ops));
 }
 
 /// Status of an execution that ran out its loops without truncating.

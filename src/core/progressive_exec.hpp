@@ -11,8 +11,10 @@
 //   * progressive_combined_top_k — both legs together:              /(pm·pd)
 //
 // The model leg requires a linear model (stage decomposition); the data leg
-// works for any RasterModel.  All four return identical top-K sets (modulo
-// exact ties) because every pruning step is justified by a sound bound.
+// works for any RasterModel.  All four return the identical canonical top-K
+// (score desc, pixel rank asc), exact ties included, because every pruning
+// step is justified by a sound bound and every offer carries the canonical
+// tie-break (core/exec_kernels.hpp).
 
 #include <cstdint>
 #include <limits>

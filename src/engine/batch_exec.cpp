@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/exec_kernels.hpp"
 #include "util/error.hpp"
 
 namespace mmir {
@@ -37,9 +38,9 @@ struct MemberState {
   std::uint64_t shared_reads = 0;
   std::uint64_t evals = 0;
 
-  /// Screening state (kTileScreened / kCombined).
-  std::vector<Interval> local_bounds;             // own metadata pass
-  const std::vector<Interval>* bounds = nullptr;  // tile-index order view
+  /// Screening state (kTileScreened / kCombined): the member's own metadata
+  /// pass, as bound upper ends in tile-index order (-inf outside its domain).
+  std::vector<double> tile_hi;
   std::unique_ptr<LinearRasterModel> owned_screen;
   const RasterModel* screen = nullptr;
 
@@ -89,19 +90,9 @@ void trip(MemberState& m, std::size_t t) {
 /// max screening bound over its tiles from the trip tile on.  Earlier tiles
 /// were fully scanned or certified out; the trip tile (possibly half
 /// examined) and everything after are covered by their bounds.
-double screened_trip_bound(const TiledArchive& archive, const MemberState& m) {
-  double bound = kNegInf;
-  const std::vector<Interval>& bounds = *m.bounds;
-  if (const std::vector<std::size_t>* subset = m.spec->tile_subset) {
-    for (std::size_t t : *subset) {
-      if (t >= m.trip_tile) bound = std::max(bound, bounds[t].hi);
-    }
-  } else {
-    for (std::size_t t = m.trip_tile; t < archive.tiles().size(); ++t) {
-      bound = std::max(bound, bounds[t].hi);
-    }
-  }
-  return bound;
+double screened_trip_bound(const MemberState& m) {
+  return *std::max_element(m.tile_hi.begin() + static_cast<std::ptrdiff_t>(m.trip_tile),
+                           m.tile_hi.end());
 }
 
 /// The solo executors' span vocabulary, so a batched member's EXPLAIN reads
@@ -109,21 +100,11 @@ double screened_trip_bound(const TiledArchive& archive, const MemberState& m) {
 void annotate_member(const obs::Span* span, const TiledArchive& archive, const MemberState& m,
                      const BatchMemberResult& r, std::uint64_t model_terms) {
   if (span == nullptr || !span->active()) return;
-  span->annotate("total_pixels",
-                 static_cast<double>(archive.width()) * static_cast<double>(archive.height()));
-  span->annotate("model_terms", static_cast<double>(model_terms));
-  span->annotate("pixels_visited", static_cast<double>(r.pixels_visited));
-  span->annotate("scan_ops", static_cast<double>(r.scan_ops));
+  exec::annotate_efficiency(*span, archive, model_terms, r.pixels_visited, r.scan_ops);
   span->annotate("k", static_cast<double>(m.spec->k));
   span->annotate("tiles_scanned", static_cast<double>(r.tiles_scanned));
   span->annotate("tiles_pruned", static_cast<double>(r.tiles_pruned));
-  span->annotate("hits", static_cast<double>(r.result.hits.size()));
-  span->annotate("bad_points", static_cast<double>(r.result.bad_points));
-  const CostMeter& meter = *m.spec->meter;
-  span->annotate("meter_points", static_cast<double>(meter.points()));
-  span->annotate("meter_ops", static_cast<double>(meter.ops()));
-  span->annotate("meter_pruned", static_cast<double>(meter.pruned()));
-  span->note("status", to_string(r.result.status));
+  exec::annotate_result(*span, r.result, *m.spec->meter);
   switch (m.spec->mode) {
     case BatchScanMode::kFullScan: span->note("mode", "full_scan"); break;
     case BatchScanMode::kProgressiveModel: span->note("mode", "progressive_model"); break;
@@ -198,34 +179,18 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
     }
 
     if (m.screened) {
-      if (spec.precomputed_bounds != nullptr) {
-        // Cache-served bounds: like a solo cached run, neither work nor
-        // charge (the engine billed cache traffic on the member's meter).
-        m.bounds = &spec.precomputed_bounds->bounds;
+      // Member-paid metadata pass over its own tiles, billed exactly like
+      // the solo executors.
+      const auto screened =
+          spec.tile_subset != nullptr
+              ? exec::screen_tiles(archive, *m.screen, *spec.tile_subset, *spec.ctx, *spec.meter)
+              : exec::screen_tiles(archive, *m.screen, *spec.ctx, *spec.meter);
+      if (!screened) {
+        m.done = true;
+        m.stopped = true;  // metadata trip: no bounds, domain bound covers
       } else {
-        // Member-paid metadata pass over its own tiles, billed exactly like
-        // the solo executors: one screening-bound evaluation per tile.
-        const std::uint64_t ops_per_bound = m.screen->ops_per_evaluation();
-        const std::size_t tile_count =
-            spec.tile_subset != nullptr ? spec.tile_subset->size() : tiles.size();
-        if (!spec.ctx->charge(tile_count * ops_per_bound)) {
-          m.done = true;
-          m.stopped = true;  // metadata trip: no bounds, domain bound covers
-        } else {
-          m.local_bounds.assign(tiles.size(), Interval::point(0.0));
-          if (spec.tile_subset != nullptr) {
-            for (std::size_t t : *spec.tile_subset) {
-              m.local_bounds[t] = m.screen->bound(tiles[t].band_range);
-              spec.meter->add_ops(ops_per_bound);
-            }
-          } else {
-            for (std::size_t t = 0; t < tiles.size(); ++t) {
-              m.local_bounds[t] = m.screen->bound(tiles[t].band_range);
-              spec.meter->add_ops(ops_per_bound);
-            }
-          }
-          m.bounds = &m.local_bounds;
-        }
+        m.tile_hi.assign(tiles.size(), kNegInf);
+        for (const exec::TileBound& b : *screened) m.tile_hi[b.tile] = b.hi;
       }
     }
     m.ops_before = spec.meter->ops();
@@ -241,7 +206,7 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
     for (MemberState& m : states) {
       if (m.done || !wants_tile(m, t)) continue;
       if (m.screened) {
-        if (exec::screen_tile(m.top, (*m.bounds)[t].hi, exec::tile_min_rank(archive, tile)) !=
+        if (exec::screen_tile(m.top, m.tile_hi[t], exec::tile_min_rank(tile)) !=
             exec::TilePrune::kScan) {
           // Certified out for THIS member only; batch-mates may still need
           // the tile.  Tile-index order is not bound-descending, so even a
@@ -267,7 +232,7 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
 
     for (std::size_t y = tile.y0; y < tile.y0 + tile.height; ++y) {
       for (std::size_t x = tile.x0; x < tile.x0 + tile.width; ++x) {
-        const std::uint64_t rank = exec::pixel_rank(archive, x, y);
+        const std::uint64_t rank = exec::pixel_rank(x, y);
         bool decoded = false;
         for (MemberState* mp : needing) {
           MemberState& m = *mp;
@@ -348,9 +313,8 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
     }
     if (m.stopped) {
       r.result.status = m.spec->ctx->stop_reason();
-      r.result.missed_bound = m.screened && m.scan_trip && m.bounds != nullptr
-                                  ? screened_trip_bound(archive, m)
-                                  : m.domain_bound;
+      r.result.missed_bound =
+          m.screened && m.scan_trip ? screened_trip_bound(m) : m.domain_bound;
     } else {
       const std::uint64_t domain_bad =
           m.spec->domain_bad_pixels == BatchMemberSpec::kDomainBadFromArchive

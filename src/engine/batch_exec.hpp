@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "archive/tiled.hpp"
-#include "core/exec_kernels.hpp"
 #include "core/progressive_exec.hpp"
 #include "core/query_context.hpp"
 #include "core/raster_model.hpp"
@@ -72,10 +71,6 @@ struct BatchMemberSpec {
   /// kDomainBadFromArchive uses archive.bad_pixel_count().
   static constexpr std::uint64_t kDomainBadFromArchive = ~std::uint64_t{0};
   std::uint64_t domain_bad_pixels = kDomainBadFromArchive;
-  /// Precomputed screening bounds (engine tile cache), tile-index order over
-  /// the whole archive; null makes the member run — and pay for — its own
-  /// metadata pass, exactly like a solo uncached run.
-  const exec::TileBounds* precomputed_bounds = nullptr;
   /// Per-member trace span; null runs untraced.
   const obs::Span* span = nullptr;
 };

@@ -1,18 +1,14 @@
 #pragma once
-// Sharded LRU caches for the concurrent query engine.
+// Sharded LRU cache for the concurrent query engine.
 //
 // A production archive sees heavily repeated traffic: the same model over
-// the same archive at the same K (dashboards, retries, fan-out replicas),
-// and the same per-tile screening metadata across every query that shares a
-// model.  The engine therefore keeps two caches, both built on one sharded
-// LRU primitive:
-//
-//   * a *whole-query result cache* keyed by (archive id, model fingerprint,
-//     K, executor mode) — only Complete/Degraded results are admitted, since
-//     a truncated answer depends on the budget that produced it;
-//   * a *tile-summary cache* keyed by (archive id, model fingerprint, tile
-//     id) holding the model's screening interval for that tile, so repeat
-//     queries skip the per-tile metadata pass entirely.
+// the same archive at the same K (dashboards, retries, fan-out replicas).
+// The engine therefore keeps one *whole-query result cache* keyed by
+// (archive id, model fingerprint, K, executor mode, shard layout) — only
+// Complete/Degraded results are admitted, since a truncated answer depends
+// on the budget that produced it.  Per-tile screening bounds are not cached:
+// the metadata pass costs one model-bound evaluation per tile, less than a
+// cache probe would (exec::screen_tiles in core/exec_kernels.hpp).
 //
 // Sharding: each shard owns an independent mutex + LRU list + hash map, and
 // a key's shard is a hash prefix — concurrent queries only contend when they
@@ -95,29 +91,6 @@ struct QueryCacheKeyHash {
     h = fnv1a_bytes(&key.k, sizeof(key.k), h);
     h = fnv1a_bytes(&key.mode, sizeof(key.mode), h);
     return static_cast<std::size_t>(fnv1a_bytes(&key.shard_layout, sizeof(key.shard_layout), h));
-  }
-};
-
-/// Key of one tile's screening summary under one model.
-struct TileCacheKey {
-  std::uint64_t archive_id = 0;
-  std::uint64_t model_fp = 0;
-  std::uint64_t tile_id = 0;
-  /// Owning shard's id + 1 under the execution's layout; 0 = monolithic.
-  /// Bound values are layout-independent, but qualifying the key keeps a
-  /// shard's working set resident together under LRU pressure and lets a
-  /// layout change be invalidated per shard.
-  std::uint32_t shard = 0;
-
-  friend bool operator==(const TileCacheKey&, const TileCacheKey&) = default;
-};
-
-struct TileCacheKeyHash {
-  std::size_t operator()(const TileCacheKey& key) const noexcept {
-    std::uint64_t h = fnv1a_bytes(&key.archive_id, sizeof(key.archive_id));
-    h = fnv1a_bytes(&key.model_fp, sizeof(key.model_fp), h);
-    h = fnv1a_bytes(&key.tile_id, sizeof(key.tile_id), h);
-    return static_cast<std::size_t>(fnv1a_bytes(&key.shard, sizeof(key.shard), h));
   }
 };
 

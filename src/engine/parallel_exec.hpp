@@ -16,8 +16,9 @@
 // any published value — pruning against the shared threshold can only
 // discard candidates that provably cannot enter the final top-K.  A stale
 // read only *weakens* pruning (more work, same answer), which is why relaxed
-// ordering suffices.  Completed parallel runs therefore return top-K sets
-// identical to the serial executors' (modulo exact ties).
+// ordering suffices.  Every offer and every merge uses the canonical
+// (score desc, pixel rank asc) order, so completed parallel runs return the
+// serial executors' top-K byte for byte, exact ties included.
 //
 // All workers share one QueryContext (concurrency-safe, see
 // core/query_context.hpp): the first worker whose charge fails latches the
@@ -48,20 +49,18 @@ namespace mmir {
                                                           std::size_t k, QueryContext& ctx,
                                                           CostMeter& meter, ThreadPool& pool);
 
-/// Parallel tile screening: workers claim tiles best-bound-first off a
-/// shared cursor, prune against the shared threshold, full model inside.
-/// `precomputed` (optional) supplies cached per-tile bounds — the engine's
-/// tile-summary cache path — skipping the metadata pass and its charge.
+/// Parallel tile screening: after the charged metadata pass
+/// (exec::screen_tiles), workers claim tiles best-bound-first off a shared
+/// cursor, prune against the shared threshold, full model inside.
 [[nodiscard]] RasterTopK parallel_tile_screened_top_k(const TiledArchive& archive,
                                                       const RasterModel& model, std::size_t k,
                                                       QueryContext& ctx, CostMeter& meter,
-                                                      ThreadPool& pool,
-                                                      const exec::TileBounds* precomputed = nullptr);
+                                                      ThreadPool& pool);
 
 /// Parallel combined executor: tile screening outside, staged terms inside.
-[[nodiscard]] RasterTopK parallel_progressive_combined_top_k(
-    const TiledArchive& archive, const ProgressiveLinearModel& model, std::size_t k,
-    QueryContext& ctx, CostMeter& meter, ThreadPool& pool,
-    const exec::TileBounds* precomputed = nullptr);
+[[nodiscard]] RasterTopK parallel_progressive_combined_top_k(const TiledArchive& archive,
+                                                             const ProgressiveLinearModel& model,
+                                                             std::size_t k, QueryContext& ctx,
+                                                             CostMeter& meter, ThreadPool& pool);
 
 }  // namespace mmir

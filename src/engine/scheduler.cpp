@@ -86,8 +86,6 @@ QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
     exec_time_hist_ = reg.histogram("engine_exec_time_ns");
     result_cache_hit_ppm_gauge_ = reg.gauge("engine_result_cache_hit_rate_ppm");
     result_cache_entries_gauge_ = reg.gauge("engine_result_cache_entries");
-    tile_cache_hit_ppm_gauge_ = reg.gauge("engine_tile_cache_hit_rate_ppm");
-    tile_cache_entries_gauge_ = reg.gauge("engine_tile_cache_entries");
     batch_batches_metric_ = reg.counter("engine_batch_batches_total");
     batch_members_metric_ = reg.counter("engine_batch_members_total");
     batch_fanin_hist_ = reg.histogram("engine_batch_fanin");
@@ -96,9 +94,6 @@ QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
   if (config_.result_cache_entries > 0) {
     result_cache_ =
         std::make_unique<ResultCache>(config_.result_cache_entries, config_.cache_shards);
-  }
-  if (config_.tile_cache_entries > 0) {
-    tile_cache_ = std::make_unique<TileCache>(config_.tile_cache_entries, config_.cache_shards);
   }
   paused_ = config_.start_paused;
   const std::size_t dispatchers = std::max<std::size_t>(1, config_.dispatchers);
@@ -199,10 +194,6 @@ CacheStats QueryEngine::result_cache_stats() const {
   return result_cache_ ? result_cache_->stats() : CacheStats{};
 }
 
-CacheStats QueryEngine::tile_cache_stats() const {
-  return tile_cache_ ? tile_cache_->stats() : CacheStats{};
-}
-
 void QueryEngine::record_shard_health(std::uint64_t layout_tag, const ShardFaultStats& stats) {
   std::lock_guard<std::mutex> lock(health_mutex_);
   if (health_window_.size() >= kHealthWindow) health_window_.pop_front();
@@ -246,11 +237,6 @@ void QueryEngine::refresh_cache_gauges() {
     const CacheStats s = result_cache_->stats();
     result_cache_hit_ppm_gauge_.set(static_cast<std::int64_t>(s.hit_rate() * kPpm));
     result_cache_entries_gauge_.set(static_cast<std::int64_t>(result_cache_->size()));
-  }
-  if (tile_cache_ != nullptr) {
-    const CacheStats s = tile_cache_->stats();
-    tile_cache_hit_ppm_gauge_.set(static_cast<std::int64_t>(s.hit_rate() * kPpm));
-    tile_cache_entries_gauge_.set(static_cast<std::int64_t>(tile_cache_->size()));
   }
 }
 
@@ -389,35 +375,23 @@ std::future<Outcome> QueryEngine::enqueue(const char* kind, const JobLimits& lim
   return future;
 }
 
-bool QueryEngine::cached_tile_bounds(const TiledArchive& archive, std::uint64_t archive_id,
-                                     const ShardedArchive* sharded,
-                                     const RasterModel& screen_model, std::uint64_t model_fp,
-                                     exec::TileBounds& tb, CostMeter& meter) {
-  if (tile_cache_ == nullptr || archive_id == 0 || model_fp == 0) return false;
-  const auto tiles = archive.tiles();
-  tb.bounds.resize(tiles.size());
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    const std::uint32_t shard =
-        sharded != nullptr ? static_cast<std::uint32_t>(sharded->owner_of_tile(t)) + 1U : 0U;
-    const TileCacheKey key{archive_id, model_fp, static_cast<std::uint64_t>(t), shard};
-    if (auto cached = tile_cache_->get(key)) {
-      tb.bounds[t] = *cached;
-      ++hits;
-      continue;
+std::optional<QueryCacheKey> QueryEngine::result_key(RasterJob::Mode mode,
+                                                     const RasterModel* model,
+                                                     const ProgressiveLinearModel* progressive,
+                                                     std::size_t k, std::uint64_t archive_id,
+                                                     std::uint64_t fingerprint_override,
+                                                     std::uint32_t shard_layout) const {
+  std::uint64_t fp = fingerprint_override;
+  if (fp == 0) {
+    if (mode == RasterJob::Mode::kProgressiveModel || mode == RasterJob::Mode::kCombined) {
+      fp = model_fingerprint(*progressive);
+    } else if (const auto* linear = dynamic_cast<const LinearRasterModel*>(model)) {
+      fp = model_fingerprint(linear->linear());
     }
-    tb.bounds[t] = screen_model.bound(tiles[t].band_range);
-    meter.add_ops(screen_model.ops_per_evaluation());
-    tile_cache_->put(key, tb.bounds[t]);
-    ++misses;
   }
-  meter.add_cache_hits(hits);
-  meter.add_cache_misses(misses);
-  // Sharded executors derive their own per-shard visit order from the raw
-  // bounds; the global best-bound-first order only serves the monolithic path.
-  if (sharded == nullptr) tb.order = exec::order_by_bound(tb.bounds);
-  return true;
+  if (archive_id == 0 || fp == 0 || result_cache_ == nullptr) return std::nullopt;
+  return QueryCacheKey{archive_id, fp, static_cast<std::uint32_t>(k),
+                       static_cast<std::uint32_t>(mode), shard_layout};
 }
 
 std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
@@ -434,21 +408,10 @@ std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
 
   return enqueue<RasterOutcome>(
       "raster", job.limits, [this, job](QueryContext& ctx, RasterOutcome& out) {
-        const bool model_leg = job.mode == RasterJob::Mode::kProgressiveModel ||
-                               job.mode == RasterJob::Mode::kCombined;
-        std::uint64_t fp = job.model_fingerprint;
-        if (fp == 0) {
-          if (model_leg) {
-            fp = model_fingerprint(*job.progressive);
-          } else if (const auto* linear = dynamic_cast<const LinearRasterModel*>(job.model)) {
-            fp = model_fingerprint(linear->linear());
-          }
-        }
-        const bool cacheable = job.archive_id != 0 && fp != 0 && result_cache_ != nullptr;
-        const QueryCacheKey key{job.archive_id, fp, static_cast<std::uint32_t>(job.k),
-                                static_cast<std::uint32_t>(job.mode)};
-        if (cacheable) {
-          if (auto hit = result_cache_->get(key)) {
+        const auto key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
+                                    job.model_fingerprint, 0);
+        if (key) {
+          if (auto hit = result_cache_->get(*key)) {
             out.result = **hit;
             out.cache_hit = true;
             out.meter.add_cache_hits();
@@ -457,8 +420,6 @@ std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
           out.meter.add_cache_misses();
         }
 
-        exec::TileBounds tb;
-        const exec::TileBounds* precomputed = nullptr;
         switch (job.mode) {
           case RasterJob::Mode::kFullScan:
             out.result = parallel_full_scan_top_k(*job.archive, *job.model, job.k, ctx,
@@ -469,29 +430,19 @@ std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
                                                           ctx, out.meter, *exec_pool_);
             break;
           case RasterJob::Mode::kTileScreened:
-            if (cached_tile_bounds(*job.archive, job.archive_id, nullptr, *job.model, fp, tb,
-                                   out.meter)) {
-              precomputed = &tb;
-            }
             out.result = parallel_tile_screened_top_k(*job.archive, *job.model, job.k, ctx,
-                                                      out.meter, *exec_pool_, precomputed);
+                                                      out.meter, *exec_pool_);
             break;
-          case RasterJob::Mode::kCombined: {
-            const LinearRasterModel screen(job.progressive->model());
-            if (cached_tile_bounds(*job.archive, job.archive_id, nullptr, screen, fp, tb,
-                                   out.meter)) {
-              precomputed = &tb;
-            }
-            out.result = parallel_progressive_combined_top_k(
-                *job.archive, *job.progressive, job.k, ctx, out.meter, *exec_pool_, precomputed);
+          case RasterJob::Mode::kCombined:
+            out.result = parallel_progressive_combined_top_k(*job.archive, *job.progressive,
+                                                             job.k, ctx, out.meter, *exec_pool_);
             break;
-          }
         }
 
         // Only answers that do not depend on this query's budget/deadline
         // are admissible: a truncated result would poison future lookups.
-        if (cacheable && !is_truncated(out.result.status)) {
-          result_cache_->put(key, std::make_shared<const RasterTopK>(out.result));
+        if (key && !is_truncated(out.result.status)) {
+          result_cache_->put(*key, std::make_shared<const RasterTopK>(out.result));
         }
       });
 }
@@ -510,22 +461,10 @@ std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
   return enqueue<ShardedRasterOutcome>(
       "sharded_raster", job.limits, [this, job](QueryContext& ctx, ShardedRasterOutcome& out) {
         const ShardedArchive& sharded = *job.sharded;
-        const TiledArchive& archive = sharded.archive();
-        const bool model_leg = job.mode == RasterJob::Mode::kProgressiveModel ||
-                               job.mode == RasterJob::Mode::kCombined;
-        std::uint64_t fp = job.model_fingerprint;
-        if (fp == 0) {
-          if (model_leg) {
-            fp = model_fingerprint(*job.progressive);
-          } else if (const auto* linear = dynamic_cast<const LinearRasterModel*>(job.model)) {
-            fp = model_fingerprint(linear->linear());
-          }
-        }
-        const bool cacheable = job.archive_id != 0 && fp != 0 && result_cache_ != nullptr;
-        const QueryCacheKey key{job.archive_id, fp, static_cast<std::uint32_t>(job.k),
-                                static_cast<std::uint32_t>(job.mode), sharded.layout_tag()};
-        if (cacheable) {
-          if (auto hit = result_cache_->get(key)) {
+        const auto key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
+                                    job.model_fingerprint, sharded.layout_tag());
+        if (key) {
+          if (auto hit = result_cache_->get(*key)) {
             out.result.merged = **hit;
             out.cache_hit = true;
             out.meter.add_cache_hits();
@@ -543,8 +482,6 @@ std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
         shard_options.metrics = config_.metrics;
         const ShardExecOptions* options = shard_options.active() ? &shard_options : nullptr;
 
-        exec::TileBounds tb;
-        const exec::TileBounds* precomputed = nullptr;
         switch (job.mode) {
           case RasterJob::Mode::kFullScan:
             out.result = sharded_full_scan_top_k(sharded, *job.model, job.k, ctx, out.meter,
@@ -555,24 +492,13 @@ std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
                                                          out.meter, *exec_pool_, options);
             break;
           case RasterJob::Mode::kTileScreened:
-            if (cached_tile_bounds(archive, job.archive_id, &sharded, *job.model, fp, tb,
-                                   out.meter)) {
-              precomputed = &tb;
-            }
             out.result = sharded_tile_screened_top_k(sharded, *job.model, job.k, ctx, out.meter,
-                                                     *exec_pool_, precomputed, options);
+                                                     *exec_pool_, options);
             break;
-          case RasterJob::Mode::kCombined: {
-            const LinearRasterModel screen(job.progressive->model());
-            if (cached_tile_bounds(archive, job.archive_id, &sharded, screen, fp, tb,
-                                   out.meter)) {
-              precomputed = &tb;
-            }
+          case RasterJob::Mode::kCombined:
             out.result = sharded_progressive_combined_top_k(sharded, *job.progressive, job.k,
-                                                            ctx, out.meter, *exec_pool_,
-                                                            precomputed, options);
+                                                            ctx, out.meter, *exec_pool_, options);
             break;
-          }
         }
         if (options != nullptr) {
           record_shard_health(sharded.layout_tag(), out.result.fault_stats);
@@ -580,9 +506,9 @@ std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
 
         // A fault-widened (degraded) merge is also inadmissible: the widened
         // bound is an artifact of this execution's faults, not of the data.
-        if (cacheable && !is_truncated(out.result.merged.status) &&
+        if (key && !is_truncated(out.result.merged.status) &&
             !out.result.fault_stats.any_fault()) {
-          result_cache_->put(key, std::make_shared<const RasterTopK>(out.result.merged));
+          result_cache_->put(*key, std::make_shared<const RasterTopK>(out.result.merged));
         }
       });
 }
@@ -765,11 +691,7 @@ void QueryEngine::run_raster_batch(const std::shared_ptr<RasterBatchGroup>& grou
     RasterOutcome out;
     QueryContext ctx;
     obs::Span span;
-    exec::TileBounds tb;
-    std::unique_ptr<const LinearRasterModel> screen;  // kCombined screening model
-    std::uint64_t fp = 0;
-    bool cacheable = false;
-    QueryCacheKey key{};
+    std::optional<QueryCacheKey> cache_key;
     bool skip = false;  // result-cache hit: not part of the scan
   };
   std::deque<Prepared> prepared;
@@ -800,21 +722,10 @@ void QueryEngine::run_raster_batch(const std::shared_ptr<RasterBatchGroup>& grou
       configure_context(p.ctx, job.limits, members[i].submitted_at);
       if (p.span.active()) p.ctx.with_span(&p.span);
 
-      const bool model_leg = job.mode == RasterJob::Mode::kProgressiveModel ||
-                             job.mode == RasterJob::Mode::kCombined;
-      p.fp = job.model_fingerprint;
-      if (p.fp == 0) {
-        if (model_leg) {
-          p.fp = model_fingerprint(*job.progressive);
-        } else if (const auto* linear = dynamic_cast<const LinearRasterModel*>(job.model)) {
-          p.fp = model_fingerprint(linear->linear());
-        }
-      }
-      p.cacheable = job.archive_id != 0 && p.fp != 0 && result_cache_ != nullptr;
-      p.key = QueryCacheKey{job.archive_id, p.fp, static_cast<std::uint32_t>(job.k),
-                            static_cast<std::uint32_t>(job.mode)};
-      if (p.cacheable) {
-        if (auto hit = result_cache_->get(p.key)) {
+      p.cache_key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
+                               job.model_fingerprint, 0);
+      if (p.cache_key) {
+        if (auto hit = result_cache_->get(*p.cache_key)) {
           p.out.result = **hit;
           p.out.cache_hit = true;
           p.out.meter.add_cache_hits();
@@ -832,18 +743,6 @@ void QueryEngine::run_raster_batch(const std::shared_ptr<RasterBatchGroup>& grou
       spec.ctx = &p.ctx;
       spec.meter = &p.out.meter;
       if (p.span.active()) spec.span = &p.span;
-      if (job.mode == RasterJob::Mode::kTileScreened) {
-        if (cached_tile_bounds(archive, job.archive_id, nullptr, *job.model, p.fp, p.tb,
-                               p.out.meter)) {
-          spec.precomputed_bounds = &p.tb;
-        }
-      } else if (job.mode == RasterJob::Mode::kCombined) {
-        p.screen = std::make_unique<const LinearRasterModel>(job.progressive->model());
-        if (cached_tile_bounds(archive, job.archive_id, nullptr, *p.screen, p.fp, p.tb,
-                               p.out.meter)) {
-          spec.precomputed_bounds = &p.tb;
-        }
-      }
       specs.push_back(spec);
       spec_member.push_back(i);
     }
@@ -855,8 +754,8 @@ void QueryEngine::run_raster_batch(const std::shared_ptr<RasterBatchGroup>& grou
       p.out.result = std::move(results[s].result);
       // Same admissibility rule as solo: budget/deadline-truncated answers
       // would poison future lookups.
-      if (p.cacheable && !is_truncated(p.out.result.status)) {
-        result_cache_->put(p.key, std::make_shared<const RasterTopK>(p.out.result));
+      if (p.cache_key && !is_truncated(p.out.result.status)) {
+        result_cache_->put(*p.cache_key, std::make_shared<const RasterTopK>(p.out.result));
       }
     }
 

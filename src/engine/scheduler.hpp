@@ -17,10 +17,10 @@
 //     QueryContext (budget, the deadline anchored at *submission* so queue
 //     wait counts against it, caller cancel flag) and runs the executor.
 //   * raster jobs execute tile-parallel on a shared intra-query ThreadPool
-//     (size 0 = serial); results and per-tile screening bounds flow through
-//     the sharded LRU caches (engine/cache.hpp).  Only Complete/Degraded
-//     results are admitted to the result cache — a truncated answer is an
-//     artifact of its budget, not of the data.
+//     (size 0 = serial); whole-query results flow through the sharded LRU
+//     result cache (engine/cache.hpp).  Only Complete/Degraded results are
+//     admitted — a truncated answer is an artifact of its budget, not of the
+//     data.
 //
 // Outcomes carry the executor result, the merged CostMeter (including cache
 // hits/misses), queue-wait and execution wall times, and a dispatch sequence
@@ -37,6 +37,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -66,7 +67,6 @@ struct EngineConfig {
   std::size_t intra_query_threads = 0;  ///< tile-parallel pool size (0 = serial execution)
   std::size_t queue_capacity = 64;      ///< pending jobs before shedding
   std::size_t result_cache_entries = 256;  ///< whole-query results (0 disables)
-  std::size_t tile_cache_entries = 4096;   ///< per-tile screening bounds (0 disables)
   std::size_t cache_shards = 8;
   /// Shared-scan batching (engine/batch_exec.hpp): compatible raster /
   /// shard-scan jobs targeting the same archive admitted while a batch is
@@ -283,7 +283,6 @@ class QueryEngine {
 
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] CacheStats result_cache_stats() const;
-  [[nodiscard]] CacheStats tile_cache_stats() const;
 
   /// Fault-domain health over the last kHealthWindow sharded executions,
   /// aggregated per shard layout; feeds the stats server's /healthz.
@@ -296,7 +295,6 @@ class QueryEngine {
  private:
   using ResultCache =
       ShardedLruCache<QueryCacheKey, std::shared_ptr<const RasterTopK>, QueryCacheKeyHash>;
-  using TileCache = ShardedLruCache<TileCacheKey, Interval, TileCacheKeyHash>;
 
   /// A queued unit of work: run(false) executes, run(true) sheds.
   struct QueuedTask {
@@ -333,19 +331,21 @@ class QueryEngine {
   void run_raster_batch(const std::shared_ptr<RasterBatchGroup>& group, bool shed);
   void run_shard_scan_batch(const std::shared_ptr<ShardScanBatchGroup>& group, bool shed);
 
-  RasterOutcome run_raster(const RasterJob& job, QueryContext& ctx);
-  /// Per-tile screening bounds via the tile cache; falls back to computing
-  /// (and charging) them like the executors do when the job is uncacheable.
-  /// `sharded` non-null qualifies each tile's key with its owning shard and
-  /// skips the global visit order (sharded executors order per shard).
-  bool cached_tile_bounds(const TiledArchive& archive, std::uint64_t archive_id,
-                          const ShardedArchive* sharded, const RasterModel& screen_model,
-                          std::uint64_t model_fp, exec::TileBounds& tb, CostMeter& meter);
+  /// Result-cache key of a raster query, or nullopt when it is uncacheable:
+  /// no archive id, no model fingerprint (the caller's override, else derived
+  /// from progressive models in model-leg modes and from LinearRasterModel),
+  /// or no result cache.  `shard_layout` is the sharded archive's
+  /// layout_tag(), 0 for monolithic jobs.
+  [[nodiscard]] std::optional<QueryCacheKey> result_key(RasterJob::Mode mode,
+                                                        const RasterModel* model,
+                                                        const ProgressiveLinearModel* progressive,
+                                                        std::size_t k, std::uint64_t archive_id,
+                                                        std::uint64_t fingerprint_override,
+                                                        std::uint32_t shard_layout) const;
 
   EngineConfig config_;
   std::unique_ptr<ThreadPool> exec_pool_;
   std::unique_ptr<ResultCache> result_cache_;
-  std::unique_ptr<TileCache> tile_cache_;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -384,8 +384,6 @@ class QueryEngine {
   obs::Histogram exec_time_hist_;
   obs::Gauge result_cache_hit_ppm_gauge_;
   obs::Gauge result_cache_entries_gauge_;
-  obs::Gauge tile_cache_hit_ppm_gauge_;
-  obs::Gauge tile_cache_entries_gauge_;
   obs::Counter batch_batches_metric_;
   obs::Counter batch_members_metric_;
   obs::Histogram batch_fanin_hist_;

@@ -48,7 +48,9 @@ class SharedThreshold {
 /// Per-shard accumulation state.  Indexed by shard id — each shard is
 /// processed by exactly one pool slot, so no synchronization is needed until
 /// the gather (parallel_for's completion handshake publishes the writes).
-struct ShardRun {
+/// Cache-line aligned for the same reason as the tile-parallel WorkerState:
+/// every pixel writes the shard's meter and tally.
+struct alignas(64) ShardRun {
   explicit ShardRun(std::size_t k) : top(k) {}
   TopK<RasterHit> top;
   CostMeter meter;
@@ -82,32 +84,6 @@ void annotate_shard(const obs::Span& span, const ShardInfo& shard, const ShardRu
   span.annotate("tiles_pruned", static_cast<double>(run.tiles_pruned));
   span.annotate("meter_ops", static_cast<double>(run.meter.ops()));
   span.note("status", to_string(run.status));
-}
-
-/// Parent-span annotations: the same four §4.2 efficiency inputs the serial
-/// and tile-parallel executors emit, summed across shards, so
-/// obs::ExplainReport reads one vocabulary for all three execution paths.
-void annotate_efficiency(const obs::Span& span, const TiledArchive& archive,
-                         std::uint64_t model_terms, std::uint64_t pixels_visited,
-                         std::uint64_t scan_ops) {
-  if (!span.active()) return;
-  span.annotate("total_pixels",
-                static_cast<double>(archive.width()) * static_cast<double>(archive.height()));
-  span.annotate("model_terms", static_cast<double>(model_terms));
-  span.annotate("pixels_visited", static_cast<double>(pixels_visited));
-  span.annotate("scan_ops", static_cast<double>(scan_ops));
-}
-
-void annotate_result(const obs::Span& span, const RasterTopK& out, const CostMeter& meter,
-                     std::size_t shards) {
-  if (!span.active()) return;
-  span.annotate("shards", static_cast<double>(shards));
-  span.annotate("hits", static_cast<double>(out.hits.size()));
-  span.annotate("bad_points", static_cast<double>(out.bad_points));
-  span.annotate("meter_points", static_cast<double>(meter.points()));
-  span.annotate("meter_ops", static_cast<double>(meter.ops()));
-  span.annotate("meter_pruned", static_cast<double>(meter.pruned()));
-  span.note("status", to_string(out.status));
 }
 
 // --------------------------------------------------------------- fault domains
@@ -506,8 +482,9 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
     out.merged.status = ResultStatus::kShed;
     out.merged.missed_bound = kPosInf;
   }
-  annotate_efficiency(span, sharded.archive(), model_terms, pixels_visited, scan_ops);
-  annotate_result(span, out.merged, meter, count);
+  exec::annotate_efficiency(span, sharded.archive(), model_terms, pixels_visited, scan_ops);
+  span.annotate("shards", static_cast<double>(count));
+  exec::annotate_result(span, out.merged, meter);
   publish_fault_metrics(options.metrics, stats);
 
   // A final "gather" child span, created after every shard/hedge span, so
@@ -600,8 +577,9 @@ ShardedTopK scatter_gather(const ShardedArchive& sharded, const char* stage, std
   out.merged = merge_shard_partials(partials, k);
   out.shard_status.reserve(count);
   for (const ShardPartial& partial : partials) out.shard_status.push_back(partial.result.status);
-  annotate_efficiency(span, sharded.archive(), model_terms, pixels_visited, scan_ops);
-  annotate_result(span, out.merged, meter, count);
+  exec::annotate_efficiency(span, sharded.archive(), model_terms, pixels_visited, scan_ops);
+  span.annotate("shards", static_cast<double>(count));
+  exec::annotate_result(span, out.merged, meter);
   return out;
 }
 
@@ -617,7 +595,9 @@ RasterTopK merge_shard_partials(std::span<const ShardPartial> partials, std::siz
   bool all_shed = !partials.empty();
   ResultStatus truncated = ResultStatus::kComplete;
   for (const ShardPartial& partial : partials) {
-    for (const RasterHit& hit : partial.result.hits) top.offer(hit.score, hit);
+    for (const RasterHit& hit : partial.result.hits) {
+      top.offer_ranked(hit.score, exec::pixel_rank(hit.x, hit.y), hit);
+    }
     missed = std::max(missed, partial.result.missed_bound);
     bad_points += partial.result.bad_points;
     const ResultStatus status = partial.result.status;
@@ -714,39 +694,23 @@ ShardedTopK sharded_progressive_model_top_k(const ShardedArchive& sharded,
 
 namespace {
 
-/// Screened scan of one shard: per-shard metadata pass (skipped when bounds
-/// are precomputed via the shard-qualified tile cache), shard-local
-/// best-bound-first order, then `scan_tile` over surviving tiles.  Shared by
-/// the tile-screened and combined executors, which differ only in the
-/// per-tile scan kernel and the screening model.
+/// Screened scan of one shard: the charged per-shard metadata pass
+/// (exec::screen_tiles), shard-local best-bound-first order, then
+/// `scan_tile` over surviving tiles.  Shared by the tile-screened and
+/// combined executors, which differ only in the per-tile scan kernel and the
+/// screening model.
 template <typename ScanTileFn>
 void screened_shard_scan(const TiledArchive& archive, const RasterModel& screen_model,
-                         const exec::TileBounds* precomputed, const ShardInfo& shard,
-                         ShardRun& run, SharedThreshold& shared, QueryContext& ctx,
-                         double whole_shard_bound, ScanTileFn&& scan_tile) {
+                         const ShardInfo& shard, ShardRun& run, SharedThreshold& shared,
+                         QueryContext& ctx, double whole_shard_bound, ScanTileFn&& scan_tile) {
   const auto tiles = archive.tiles();
-  const std::uint64_t ops_per_bound = screen_model.ops_per_evaluation();
-
-  // (upper bound, global tile index) pairs for this shard only; ties break
-  // toward the lower tile index so the visit order is deterministic.
-  std::vector<std::pair<double, std::size_t>> order;
-  order.reserve(shard.tiles.size());
-  if (precomputed != nullptr) {
-    for (std::size_t t : shard.tiles) order.emplace_back(precomputed->bounds[t].hi, t);
-  } else {
-    if (!ctx.charge(shard.tiles.size() * ops_per_bound)) {
-      run.status = ctx.stop_reason();
-      run.missed_bound = whole_shard_bound;
-      return;
-    }
-    for (std::size_t t : shard.tiles) {
-      order.emplace_back(screen_model.bound(tiles[t].band_range).hi, t);
-      run.meter.add_ops(ops_per_bound);
-    }
+  const auto screened = exec::screen_tiles(archive, screen_model, shard.tiles, ctx, run.meter);
+  if (!screened) {
+    run.status = ctx.stop_reason();
+    run.missed_bound = whole_shard_bound;
+    return;
   }
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
+  const std::vector<exec::TileBound>& order = *screened;
 
   const std::uint64_t ops_before = run.meter.ops();
   for (std::size_t pos = 0; pos < order.size(); ++pos) {
@@ -763,7 +727,7 @@ void screened_shard_scan(const TiledArchive& archive, const RasterModel& screen_
       }
       break;
     }
-    if (exec::screen_tile(run.top, hi, exec::tile_min_rank(archive, tiles[t])) !=
+    if (exec::screen_tile(run.top, hi, exec::tile_min_rank(tiles[t])) !=
         exec::TilePrune::kScan) {
       // Shard-local tie evidence: the tile ties this shard's own full heap
       // and cannot win the canonical rank tie-break, but a later equal-bound
@@ -792,8 +756,7 @@ void screened_shard_scan(const TiledArchive& archive, const RasterModel& screen_
 
 ShardedTopK sharded_tile_screened_top_k(const ShardedArchive& sharded, const RasterModel& model,
                                         std::size_t k, QueryContext& ctx, CostMeter& meter,
-                                        ThreadPool& pool, const exec::TileBounds* precomputed,
-                                        const ShardExecOptions* options) {
+                                        ThreadPool& pool, const ShardExecOptions* options) {
   MMIR_EXPECTS(k > 0);
   const TiledArchive& archive = sharded.archive();
   MMIR_EXPECTS(model.bands() == archive.band_count());
@@ -802,8 +765,8 @@ ShardedTopK sharded_tile_screened_top_k(const ShardedArchive& sharded, const Ras
       sharded, "sharded_tile_screened", k, model.ops_per_evaluation(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold& shared, QueryContext& ctx) {
         std::vector<double> scratch(archive.band_count());
-        screened_shard_scan(archive, model, precomputed, shard, run, shared, ctx,
-                            shard_bound(shard), [&](const TileSummary& tile, ShardRun& r) {
+        screened_shard_scan(archive, model, shard, run, shared, ctx, shard_bound(shard),
+                            [&](const TileSummary& tile, ShardRun& r) {
                               exec::scan_rect_full(archive, model, tile.x0,
                                                    tile.x0 + tile.width, tile.y0,
                                                    tile.y0 + tile.height, r.top, scratch, ctx,
@@ -817,7 +780,6 @@ ShardedTopK sharded_progressive_combined_top_k(const ShardedArchive& sharded,
                                                const ProgressiveLinearModel& model,
                                                std::size_t k, QueryContext& ctx,
                                                CostMeter& meter, ThreadPool& pool,
-                                               const exec::TileBounds* precomputed,
                                                const ShardExecOptions* options) {
   MMIR_EXPECTS(k > 0);
   const TiledArchive& archive = sharded.archive();
@@ -830,7 +792,7 @@ ShardedTopK sharded_progressive_combined_top_k(const ShardedArchive& sharded,
       sharded, "sharded_progressive_combined", k, model.order().size(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold& shared, QueryContext& ctx) {
         screened_shard_scan(
-            archive, screen, precomputed, shard, run, shared, ctx, shard_bound(shard),
+            archive, screen, shard, run, shared, ctx, shard_bound(shard),
             [&](const TileSummary& tile, ShardRun& r) {
               exec::scan_rect_staged(
                   archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
@@ -939,8 +901,8 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
         }
         case ShardScanMode::kTileScreened: {
           std::vector<double> scratch(archive.band_count());
-          screened_shard_scan(archive, *model, nullptr, shard, run, shared, ctx,
-                              shard_bound(), [&](const TileSummary& tile, ShardRun& r) {
+          screened_shard_scan(archive, *model, shard, run, shared, ctx, shard_bound(),
+                              [&](const TileSummary& tile, ShardRun& r) {
                                 exec::scan_rect_full(archive, *model, tile.x0,
                                                      tile.x0 + tile.width, tile.y0,
                                                      tile.y0 + tile.height, r.top, scratch,
@@ -951,7 +913,7 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
         case ShardScanMode::kCombined: {
           const LinearRasterModel screen(progressive->model());
           screened_shard_scan(
-              archive, screen, nullptr, shard, run, shared, ctx, shard_bound(),
+              archive, screen, shard, run, shared, ctx, shard_bound(),
               [&](const TileSummary& tile, ShardRun& r) {
                 exec::scan_rect_staged(
                     archive, *progressive, tile.x0, tile.x0 + tile.width, tile.y0,

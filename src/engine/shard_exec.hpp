@@ -71,8 +71,10 @@ struct ShardPartial {
 };
 
 /// Merges per-shard partials into a global top-K of size at most `k`.
-/// Deterministic given its inputs: partials are offered in shard order, so
-/// exact score ties break toward the lower shard id.  The merged missed
+/// Hits are offered under the canonical (score desc, exec::pixel_rank asc)
+/// order, so exact score ties resolve by pixel position whatever the shard
+/// layout — the merge of complete partials equals the serial monolithic
+/// answer byte for byte.  The merged missed
 /// bound is the max over shard bounds; the disposition is the first
 /// truncated shard's status if any shard truncated, else degraded if any
 /// shard degraded, else complete (all-shed merges stay kShed).  Exposed as a
@@ -92,11 +94,9 @@ struct ShardedTopK {
   ShardFaultStats fault_stats;
 };
 
-/// Sharded twins of the four executors.  Answers are identical to the serial
-/// monolithic executors modulo exact ties (the shard-parity property suite
-/// checks byte-identity on tie-free inputs).  The tile-screened/combined
-/// forms accept optional precomputed per-tile bounds indexed by *global* tile
-/// id, as served shard-qualified by the engine's tile cache.  `options`
+/// Sharded twins of the four executors.  Answers are byte-identical to the
+/// serial monolithic executors, exact ties included (the shard-parity
+/// property suite checks this under both placement policies).  `options`
 /// (nullable) switches on the fault-domain path; see the header comment.
 [[nodiscard]] ShardedTopK sharded_full_scan_top_k(const ShardedArchive& sharded,
                                                   const RasterModel& model, std::size_t k,
@@ -113,13 +113,11 @@ struct ShardedTopK {
                                                       const RasterModel& model, std::size_t k,
                                                       QueryContext& ctx, CostMeter& meter,
                                                       ThreadPool& pool,
-                                                      const exec::TileBounds* precomputed =
-                                                          nullptr,
                                                       const ShardExecOptions* options = nullptr);
 [[nodiscard]] ShardedTopK sharded_progressive_combined_top_k(
     const ShardedArchive& sharded, const ProgressiveLinearModel& model, std::size_t k,
     QueryContext& ctx, CostMeter& meter, ThreadPool& pool,
-    const exec::TileBounds* precomputed = nullptr, const ShardExecOptions* options = nullptr);
+    const ShardExecOptions* options = nullptr);
 
 /// The four executor modes, addressable without dragging the scheduler
 /// header in (values mirror RasterJob::Mode).  This is the mode a shard

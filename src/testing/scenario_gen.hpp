@@ -240,4 +240,28 @@ inline void fill_anti_correlated(std::vector<Grid>& grids, const ScenarioConfig&
   return out;
 }
 
+/// The exact-tie archives shared by the shard, net and router parity
+/// batteries: tie-storm and constant-tile scenes, under integer-weight models,
+/// make whole runs of pixels score identically, so the canonical pixel-rank
+/// tie-break decides the answer.  A shard server registers these after the
+/// scene pool, which is why both ends of the wire build them from this list.
+[[nodiscard]] inline std::vector<ScenarioConfig> tie_parity_scenarios() {
+  std::vector<ScenarioConfig> out;
+  const auto add = [&](ScenarioKind kind, std::size_t width, std::size_t height,
+                       std::size_t tile, std::uint64_t seed) {
+    ScenarioConfig cfg;
+    cfg.kind = kind;
+    cfg.width = width;
+    cfg.height = height;
+    cfg.tile_size = tile;
+    cfg.seed = seed;
+    out.push_back(cfg);
+  };
+  add(ScenarioKind::kTieStorm, 40, 30, 8, 301);
+  add(ScenarioKind::kConstantTile, 48, 36, 8, 302);
+  add(ScenarioKind::kTieStorm, 36, 52, 16, 303);
+  add(ScenarioKind::kConstantTile, 44, 28, 4, 304);
+  return out;
+}
+
 }  // namespace mmir

@@ -8,8 +8,8 @@
 //      bleed across members (identical at every fan-in), and budget-tripped
 //      members must certify a sound prefix without disturbing batch-mates;
 //   2. the QueryEngine's batched admission at batch sizes 1/4/16/64 and
-//      1/2/4 dispatchers — the full production path, including the tile
-//      cache, result cache, and the `batch` EXPLAIN span;
+//      1/2/4 dispatchers — the full production path, including the result
+//      cache and the `batch` EXPLAIN span;
 //   3. batched ShardScanJobs against direct scan_shard_partial — the unit a
 //      shard server executes, including empty shards.
 //

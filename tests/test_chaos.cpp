@@ -245,11 +245,10 @@ ShardedTopK run_sharded(const ChaosCase& c, const ShardedArchive& sharded,
       return sharded_progressive_model_top_k(sharded, progressive, c.k, ctx, meter, pool,
                                              options);
     case Exec::kTileScreened:
-      return sharded_tile_screened_top_k(sharded, raster, c.k, ctx, meter, pool, nullptr,
-                                         options);
+      return sharded_tile_screened_top_k(sharded, raster, c.k, ctx, meter, pool, options);
     case Exec::kCombined:
       return sharded_progressive_combined_top_k(sharded, progressive, c.k, ctx, meter, pool,
-                                                nullptr, options);
+                                                options);
   }
   return {};
 }

@@ -350,35 +350,56 @@ TEST(QueryEngine, TruncatedResultsAreNotCached) {
   EXPECT_EQ(full.result.hits.size(), 10u);
 }
 
-TEST(QueryEngine, TileCacheSkipsMetadataPassAcrossDifferentK) {
+TEST(QueryEngine, ScreenedJobsSpendBudgetLikeTheDirectExecutor) {
+  // A cacheable engine query must pay for the tile-screening metadata pass
+  // exactly like the executor it dispatches to: under a budget that covers
+  // the scan but not scan + metadata, both truncate at the same op.  With
+  // intra_query_threads = 0 the engine's pool runs inline, so its execution
+  // is as deterministic as the direct call on ThreadPool(0).
   const EngineWorkload w;
   QueryEngine engine;
-  RasterJob job;
-  job.mode = RasterJob::Mode::kTileScreened;
-  job.archive = &w.archive;
-  job.model = &w.raster_model;
-  job.archive_id = 3;
-  const std::uint64_t tiles = w.archive.tiles().size();
+  ThreadPool inline_pool(0);
+  const std::uint64_t metadata_ops = w.archive.tiles().size() * w.raster_model.ops_per_evaluation();
 
-  job.k = 5;
-  const RasterOutcome first = engine.submit(job).get();
-  // One result-cache miss plus one tile-cache miss per tile.
-  EXPECT_EQ(first.meter.cache_misses(), tiles + 1);
-  EXPECT_EQ(first.meter.cache_hits(), 0u);
+  for (const RasterJob::Mode mode : {RasterJob::Mode::kTileScreened, RasterJob::Mode::kCombined}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const auto direct = [&](QueryContext& ctx, CostMeter& meter) {
+      return mode == RasterJob::Mode::kTileScreened
+                 ? parallel_tile_screened_top_k(w.archive, w.raster_model, 10, ctx, meter,
+                                                inline_pool)
+                 : parallel_progressive_combined_top_k(w.archive, w.progressive, 10, ctx, meter,
+                                                       inline_pool);
+    };
+    QueryContext unbounded;
+    CostMeter unbounded_meter;
+    ASSERT_EQ(direct(unbounded, unbounded_meter).status, ResultStatus::kComplete);
+    const std::uint64_t budget = unbounded.spent() - metadata_ops / 2;
 
-  job.k = 7;  // different result-cache key, same tile summaries
-  const RasterOutcome second = engine.submit(job).get();
-  EXPECT_FALSE(second.cache_hit);
-  EXPECT_EQ(second.meter.cache_hits(), tiles);
-  EXPECT_EQ(second.meter.cache_misses(), 1u);  // only the result-cache lookup
+    QueryContext ctx;
+    ctx.with_op_budget(budget);
+    CostMeter meter;
+    const RasterTopK expected = direct(ctx, meter);
+    ASSERT_EQ(expected.status, ResultStatus::kTruncatedBudget);
 
-  CostMeter serial_meter;
-  const auto serial = tile_screened_top_k(w.archive, w.raster_model, 7, serial_meter);
-  ASSERT_EQ(second.result.hits.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(second.result.hits[i].score, serial[i].score);
+    RasterJob job;
+    job.mode = mode;
+    job.archive = &w.archive;
+    job.model = &w.raster_model;
+    job.progressive = &w.progressive;
+    job.k = 10;
+    job.archive_id = 3 + static_cast<std::uint64_t>(mode);
+    job.limits.op_budget = budget;
+    const RasterOutcome got = engine.submit(job).get();
+    EXPECT_EQ(got.result.status, expected.status);
+    EXPECT_EQ(got.result.missed_bound, expected.missed_bound);
+    EXPECT_EQ(got.meter.ops(), meter.ops());
+    ASSERT_EQ(got.result.hits.size(), expected.hits.size());
+    for (std::size_t i = 0; i < expected.hits.size(); ++i) {
+      EXPECT_EQ(got.result.hits[i].x, expected.hits[i].x) << "rank " << i;
+      EXPECT_EQ(got.result.hits[i].y, expected.hits[i].y) << "rank " << i;
+      EXPECT_EQ(got.result.hits[i].score, expected.hits[i].score) << "rank " << i;
+    }
   }
-  EXPECT_EQ(engine.tile_cache_stats().hits, tiles);
 }
 
 TEST(QueryEngine, AdmissionControlShedsBeyondCapacity) {

@@ -13,6 +13,10 @@
 //     ci/net.sh via tools/mmir_shard_server with the identical archive
 //     pool), making the oracle genuinely cross-process.
 // MMIR_NET_CASES caps the case count (TSan runs use a smaller battery).
+// A second battery runs the exact-tie archives of testing/scenario_gen.hpp
+// (registered after the scene pool) on the kTileHash layout, where only the
+// canonical pixel-rank tie-break of the router's merge keeps the answer
+// byte-identical.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +39,7 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/scenario_gen.hpp"
 #include "util/rng.hpp"
 
 namespace mmir::net {
@@ -80,7 +85,8 @@ const std::vector<std::unique_ptr<PooledArchive>>& archive_pool() {
 
 struct Case {
   std::uint64_t seed = 0;
-  const PooledArchive* pooled = nullptr;
+  const TiledArchive* archive = nullptr;
+  const std::vector<Interval>* ranges = nullptr;
   std::size_t archive_index = 0;
   ShardScanMode mode = ShardScanMode::kFullScan;
   ShardPolicy policy = ShardPolicy::kRowBands;
@@ -103,7 +109,9 @@ Case make_case(std::uint64_t seed) {
   Case c;
   c.seed = seed;
   c.archive_index = rng.uniform_int(archive_pool().size());
-  c.pooled = archive_pool()[c.archive_index].get();
+  const PooledArchive& pooled = *archive_pool()[c.archive_index];
+  c.archive = pooled.archive.get();
+  c.ranges = &pooled.ranges;
   c.mode = static_cast<ShardScanMode>(rng.uniform_int(4));
   c.policy = rng.bernoulli(0.5) ? ShardPolicy::kRowBands : ShardPolicy::kTileHash;
   c.k = 1 + rng.uniform_int(32);
@@ -115,16 +123,57 @@ Case make_case(std::uint64_t seed) {
   c.model = LinearModel(std::move(weights), rng.uniform(-5.0, 5.0), {"b4", "b5", "b7", "dem"});
   c.budgeted = rng.bernoulli(0.33);
   if (c.budgeted) {
-    const std::size_t pixels = c.pooled->scene.width * c.pooled->scene.height;
+    const std::size_t pixels = c.archive->pixel_count();
     c.budget = 16 + rng.uniform_int(pixels * 4ULL);
   }
   return c;
 }
 
+/// The exact-tie archives, registered after the scene pool (ids 7..).
+struct TieArchive {
+  GeneratedArchive gen;
+  std::vector<Interval> ranges;
+};
+
+const std::vector<TieArchive>& tie_pool() {
+  static const auto pool = [] {
+    std::vector<TieArchive> p;
+    for (const ScenarioConfig& cfg : tie_parity_scenarios()) {
+      TieArchive a{generate_scenario(cfg), {}};
+      const auto r = a.gen.tiled().band_ranges();
+      a.ranges.assign(r.begin(), r.end());
+      p.push_back(std::move(a));
+    }
+    return p;
+  }();
+  return pool;
+}
+
+/// An unbudgeted kTileHash case on an exact-tie archive: integer weights and
+/// a quarter-integer bias are exactly representable, so equal palette picks
+/// score exactly equal.
+Case make_tie_case(std::uint64_t seed) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 3);
+  Case c;
+  c.seed = seed;
+  const std::size_t index = rng.uniform_int(tie_pool().size());
+  c.archive_index = archive_pool().size() + index;
+  c.archive = tie_pool()[index].gen.archive.get();
+  c.ranges = &tie_pool()[index].ranges;
+  c.mode = static_cast<ShardScanMode>(rng.uniform_int(4));
+  c.policy = ShardPolicy::kTileHash;
+  c.k = 1 + rng.uniform_int(32);
+  std::vector<double> weights(4);
+  for (double& w : weights) w = static_cast<double>(rng.uniform_int(5)) - 2.0;
+  c.model = LinearModel(std::move(weights), 0.25 * (static_cast<double>(rng.uniform_int(17)) - 8.0),
+                        {"b0", "b1", "b2", "b3"});
+  return c;
+}
+
 std::vector<RasterHit> run_serial(const Case& c, CostMeter& meter) {
-  const TiledArchive& archive = *c.pooled->archive;
+  const TiledArchive& archive = *c.archive;
   const LinearRasterModel raster(c.model);
-  const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
+  const ProgressiveLinearModel progressive(c.model, *c.ranges);
   switch (c.mode) {
     case ShardScanMode::kFullScan: return full_scan_top_k(archive, raster, c.k, meter);
     case ShardScanMode::kProgressiveModel:
@@ -214,6 +263,10 @@ class Fleet {
         const PooledArchive& pooled = *archive_pool()[a];
         server->register_archive(a + 1, pooled.archive.get(), pooled.ranges);
       }
+      for (std::size_t a = 0; a < tie_pool().size(); ++a) {
+        server->register_archive(archive_pool().size() + a + 1, tie_pool()[a].gen.archive.get(),
+                                 tie_pool()[a].ranges);
+      }
       if (!server->start()) {
         ports_.clear();
         return;
@@ -245,71 +298,67 @@ RouterConfig base_config(std::size_t shards) {
   return config;
 }
 
-TEST(NetParity, RouterMatchesSerialMonolithic) {
-  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
-  ASSERT_TRUE(fleet().ok()) << "shard-server fleet failed to start";
+/// Routes one case over 2/4/8 shards: complete answers must be
+/// byte-identical to the serial monolithic one, truncated ones must certify a
+/// sound prefix of it.
+bool router_matches_serial(const Case& c, std::string& why) {
+  CostMeter serial_meter;
+  const std::vector<RasterHit> exact = run_serial(c, serial_meter);
 
-  const std::size_t cases = case_count();
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    Router router(base_config(shards));
+    RouterQuery query;
+    query.archive_id = c.archive_index + 1;
+    query.shard_count = static_cast<std::uint32_t>(shards);
+    query.policy = c.policy;
+    query.mode = c.mode;
+    query.model = &c.model;
+    query.k = c.k;
+    if (c.budgeted) query.op_budget = c.budget;
+
+    QueryContext ctx;
+    CostMeter meter;
+    const RouterResult res = router.execute(query, ctx, meter);
+    const std::string where = " (shards=" + std::to_string(shards) + ")";
+    if (res.result.shard_status.size() != shards) {
+      why = "shard_status has " + std::to_string(res.result.shard_status.size()) + " entries" +
+            where;
+      return false;
+    }
+    if (res.bytes_sent == 0 || res.bytes_received == 0) {
+      why = "no bytes crossed the wire" + where;
+      return false;
+    }
+    if (!c.budgeted || res.result.merged.status == ResultStatus::kComplete) {
+      if (res.result.merged.status != ResultStatus::kComplete) {
+        why = "unbudgeted run not complete: " + std::string(to_string(res.result.merged.status)) +
+              where;
+        return false;
+      }
+      if (!identical_hits(exact, res.result.merged, why)) {
+        why += where;
+        return false;
+      }
+      if (res.result.fault_stats.any_fault()) {
+        why = "healthy fleet reported faults" + where;
+        return false;
+      }
+    } else if (!sound_prefix(res.result.merged, exact, why)) {
+      why += where;
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename MakeCase>
+void run_battery(std::size_t cases, MakeCase&& make) {
   std::vector<std::uint64_t> failing_seeds;
   for (std::uint64_t seed = 0; seed < cases; ++seed) {
-    const Case c = make_case(seed);
+    const Case c = make(seed);
     SCOPED_TRACE(c.describe());
-    bool ok = true;
     std::string why;
-
-    CostMeter serial_meter;
-    const std::vector<RasterHit> exact = run_serial(c, serial_meter);
-
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      Router router(base_config(shards));
-      RouterQuery query;
-      query.archive_id = c.archive_index + 1;
-      query.shard_count = static_cast<std::uint32_t>(shards);
-      query.policy = c.policy;
-      query.mode = c.mode;
-      query.model = &c.model;
-      query.k = c.k;
-      if (c.budgeted) query.op_budget = c.budget;
-
-      QueryContext ctx;
-      CostMeter meter;
-      const RouterResult res = router.execute(query, ctx, meter);
-      const std::string where = " (shards=" + std::to_string(shards) + ")";
-      if (res.result.shard_status.size() != shards) {
-        ok = false;
-        why = "shard_status has " + std::to_string(res.result.shard_status.size()) + " entries" +
-              where;
-        break;
-      }
-      if (res.bytes_sent == 0 || res.bytes_received == 0) {
-        ok = false;
-        why = "no bytes crossed the wire" + where;
-        break;
-      }
-      if (!c.budgeted || res.result.merged.status == ResultStatus::kComplete) {
-        if (res.result.merged.status != ResultStatus::kComplete) {
-          ok = false;
-          why = "unbudgeted run not complete: " +
-                std::string(to_string(res.result.merged.status)) + where;
-          break;
-        }
-        if (!identical_hits(exact, res.result.merged, why)) {
-          ok = false;
-          why += where;
-          break;
-        }
-        if (res.result.fault_stats.any_fault()) {
-          ok = false;
-          why = "healthy fleet reported faults" + where;
-          break;
-        }
-      } else if (!sound_prefix(res.result.merged, exact, why)) {
-        ok = false;
-        why += where;
-        break;
-      }
-    }
-
+    const bool ok = router_matches_serial(c, why);
     EXPECT_TRUE(ok) << why;
     if (!ok) failing_seeds.push_back(seed);
   }
@@ -320,6 +369,18 @@ TEST(NetParity, RouterMatchesSerialMonolithic) {
     for (std::uint64_t s : failing_seeds) os << ' ' << s;
     ADD_FAILURE() << os.str();
   }
+}
+
+TEST(NetParity, RouterMatchesSerialMonolithic) {
+  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
+  ASSERT_TRUE(fleet().ok()) << "shard-server fleet failed to start";
+  run_battery(case_count(), make_case);
+}
+
+TEST(NetParity, TileHashExactTiesMatchSerialMonolithic) {
+  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
+  ASSERT_TRUE(fleet().ok()) << "shard-server fleet failed to start";
+  run_battery(std::min<std::size_t>(case_count(), 60), make_tie_case);
 }
 
 TEST(NetParity, SoundUnderWireChaos) {

@@ -270,38 +270,34 @@ TEST(ParallelParity, PoisonedArchiveDegradesIdentically) {
   }
 }
 
-TEST(ParallelParity, PrecomputedTileBoundsGiveSameAnswer) {
+TEST(ParallelParity, InlinePoolSpendsExactlyLikeSerial) {
+  // Serial and tile-parallel screened executors share one metadata pass
+  // (exec::screen_tiles) and one visit order, so on an inline pool the
+  // parallel run scans the same tiles and spends the same ops.
   const Workload w;
   const TiledArchive archive(w.bands, 16);
-  CostMeter serial_meter;
-  const auto serial = tile_screened_top_k(archive, w.raster_model, 12, serial_meter);
-
-  CostMeter bounds_meter;
-  const exec::TileBounds tb = exec::compute_tile_bounds(archive, w.raster_model, bounds_meter);
-  {
-    ThreadPool pool(3);
-    QueryContext ctx;
-    CostMeter meter;
-    const RasterTopK par =
-        parallel_tile_screened_top_k(archive, w.raster_model, 12, ctx, meter, pool, &tb);
-    EXPECT_EQ(par.status, ResultStatus::kComplete);
-    expect_equivalent_hits(serial, par.hits, w);
-  }
-  // With zero workers the parallel path is deterministic, so the run with
-  // precomputed bounds must charge exactly the metadata pass less.
+  const ProgressiveLinearModel progressive = w.progressive();
   ThreadPool inline_pool(0);
-  QueryContext ctx_plain;
-  QueryContext ctx_cached;
-  CostMeter plain_meter;
-  CostMeter cached_meter;
-  const RasterTopK plain =
-      parallel_tile_screened_top_k(archive, w.raster_model, 12, ctx_plain, plain_meter, inline_pool);
-  const RasterTopK cached = parallel_tile_screened_top_k(archive, w.raster_model, 12, ctx_cached,
-                                                         cached_meter, inline_pool, &tb);
-  ASSERT_EQ(plain.status, ResultStatus::kComplete);
-  ASSERT_EQ(cached.status, ResultStatus::kComplete);
-  expect_equivalent_hits(plain.hits, cached.hits, w);
-  EXPECT_EQ(ctx_plain.spent(), ctx_cached.spent() + bounds_meter.ops());
+  for (Exec exec : {Exec::kTileScreened, Exec::kCombined}) {
+    SCOPED_TRACE(static_cast<int>(exec));
+    QueryContext serial_ctx;
+    QueryContext par_ctx;
+    CostMeter serial_meter;
+    CostMeter par_meter;
+    const bool screened = exec == Exec::kTileScreened;
+    const RasterTopK serial =
+        screened ? tile_screened_top_k(archive, w.raster_model, 12, serial_ctx, serial_meter)
+                 : progressive_combined_top_k(archive, progressive, 12, serial_ctx, serial_meter);
+    const RasterTopK par =
+        screened ? parallel_tile_screened_top_k(archive, w.raster_model, 12, par_ctx, par_meter,
+                                                inline_pool)
+                 : parallel_progressive_combined_top_k(archive, progressive, 12, par_ctx,
+                                                       par_meter, inline_pool);
+    ASSERT_EQ(par.status, ResultStatus::kComplete);
+    expect_equivalent_hits(serial.hits, par.hits, w);
+    EXPECT_EQ(par_ctx.spent(), serial_ctx.spent());
+    EXPECT_EQ(par_meter.ops(), serial_meter.ops());
+  }
 }
 
 }  // namespace

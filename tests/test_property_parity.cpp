@@ -199,7 +199,6 @@ TEST(PropertyParity, SerialParallelAndCachedReplayAgree) {
   config.dispatchers = 2;
   config.intra_query_threads = 2;
   config.result_cache_entries = 4096;
-  config.tile_cache_entries = 1 << 14;
   config.metrics = nullptr;  // parity, not metrics, is under test here
   QueryEngine engine(config);
 

@@ -291,11 +291,19 @@ TEST(ShardMerge, PartiallyShedMergeKeepsSurvivingHits) {
   EXPECT_EQ(merged.certified_prefix(), 0U);
 }
 
-TEST(ShardMerge, TieBreaksTowardLowerShardId) {
-  const std::vector<ShardPartial> partials = {partial(0, {5.0}), partial(1, {5.0})};
-  const RasterTopK merged = merge_shard_partials(partials, 1);
+TEST(ShardMerge, TieBreaksTowardLowerPixelRank) {
+  std::vector<ShardPartial> partials = {partial(0, {5.0}), partial(1, {5.0})};
+  RasterTopK merged = merge_shard_partials(partials, 1);
   ASSERT_EQ(merged.hits.size(), 1U);
   EXPECT_EQ(merged.hits[0].y, 0U);  // partial() stores the shard id in y
+
+  // Shard order must not decide: move shard 0's hit below shard 1's in
+  // row-major order and the tie flips to shard 1.
+  partials[0].result.hits[0].y = 7;
+  merged = merge_shard_partials(partials, 1);
+  ASSERT_EQ(merged.hits.size(), 1U);
+  EXPECT_EQ(merged.hits[0].x, 100U);
+  EXPECT_EQ(merged.hits[0].y, 1U);
 }
 
 }  // namespace

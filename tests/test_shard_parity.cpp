@@ -7,9 +7,12 @@
 // shard merge returns a plausible-but-incomplete top-K, which no smoke test
 // catches — only this differential battery does.
 //
-// Scenes are continuous-valued and model weights are kept away from zero, so
-// exact score ties (where executors may legitimately disagree on order) have
-// measure zero and exact comparison is meaningful.
+// The main battery's scenes are continuous-valued with weights kept away
+// from zero, so ties have measure zero there; a second battery draws
+// tie-storm and constant-tile archives (testing/scenario_gen.hpp) under
+// integer-weight models on the kTileHash layout, where exact ties are
+// everywhere and only the canonical pixel-rank tie-break — in the per-shard
+// heaps and in the merge — keeps the answer byte-identical.
 //
 // Every case derives from a single seed printed on failure.
 
@@ -30,6 +33,7 @@
 #include "engine/thread_pool.hpp"
 #include "linear/model.hpp"
 #include "linear/progressive.hpp"
+#include "testing/scenario_gen.hpp"
 #include "util/rng.hpp"
 
 namespace mmir {
@@ -83,7 +87,8 @@ enum class Exec { kFullScan, kProgressiveModel, kTileScreened, kCombined };
 
 struct Case {
   std::uint64_t seed = 0;
-  const PooledArchive* pooled = nullptr;
+  const TiledArchive* archive = nullptr;
+  const std::vector<Interval>* ranges = nullptr;
   std::size_t archive_index = 0;
   Exec exec = Exec::kFullScan;
   ShardPolicy policy = ShardPolicy::kRowBands;
@@ -106,7 +111,9 @@ Case make_case(std::uint64_t seed) {
   Case c;
   c.seed = seed;
   c.archive_index = rng.uniform_int(archive_pool().size());
-  c.pooled = archive_pool()[c.archive_index].get();
+  const PooledArchive& pooled = *archive_pool()[c.archive_index];
+  c.archive = pooled.archive.get();
+  c.ranges = &pooled.ranges;
   c.exec = static_cast<Exec>(rng.uniform_int(4));
   c.policy = rng.bernoulli(0.5) ? ShardPolicy::kRowBands : ShardPolicy::kTileHash;
   c.k = 1 + rng.uniform_int(32);
@@ -123,15 +130,57 @@ Case make_case(std::uint64_t seed) {
   // A third of the cases run with a budget that usually truncates.
   c.budgeted = rng.bernoulli(0.33);
   if (c.budgeted) {
-    const std::size_t pixels = c.pooled->scene.width * c.pooled->scene.height;
+    const std::size_t pixels = c.archive->pixel_count();
     c.budget = 16 + rng.uniform_int(pixels * 4ULL);
   }
   return c;
 }
 
+/// The exact-tie archives (testing/scenario_gen.hpp), indexed after the
+/// scene pool.
+struct TieArchive {
+  GeneratedArchive gen;
+  std::vector<Interval> ranges;
+};
+
+const std::vector<TieArchive>& tie_pool() {
+  static const auto pool = [] {
+    std::vector<TieArchive> p;
+    for (const ScenarioConfig& cfg : tie_parity_scenarios()) {
+      TieArchive a{generate_scenario(cfg), {}};
+      const auto r = a.gen.tiled().band_ranges();
+      a.ranges.assign(r.begin(), r.end());
+      p.push_back(std::move(a));
+    }
+    return p;
+  }();
+  return pool;
+}
+
+/// An unbudgeted kTileHash case on an exact-tie archive: integer weights and
+/// a quarter-integer bias are exactly representable, so equal palette picks
+/// score exactly equal.
+Case make_tie_case(std::uint64_t seed) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 3);
+  Case c;
+  c.seed = seed;
+  const std::size_t index = rng.uniform_int(tie_pool().size());
+  c.archive_index = archive_pool().size() + index;
+  c.archive = tie_pool()[index].gen.archive.get();
+  c.ranges = &tie_pool()[index].ranges;
+  c.exec = static_cast<Exec>(rng.uniform_int(4));
+  c.policy = ShardPolicy::kTileHash;
+  c.k = 1 + rng.uniform_int(32);
+  std::vector<double> weights(4);
+  for (double& w : weights) w = static_cast<double>(rng.uniform_int(5)) - 2.0;
+  c.model = LinearModel(std::move(weights), 0.25 * (static_cast<double>(rng.uniform_int(17)) - 8.0),
+                        {"b0", "b1", "b2", "b3"});
+  return c;
+}
+
 std::vector<RasterHit> run_serial(const Case& c, const LinearRasterModel& raster,
                                   const ProgressiveLinearModel& progressive, CostMeter& meter) {
-  const TiledArchive& archive = *c.pooled->archive;
+  const TiledArchive& archive = *c.archive;
   switch (c.exec) {
     case Exec::kFullScan: return full_scan_top_k(archive, raster, c.k, meter);
     case Exec::kProgressiveModel:
@@ -203,66 +252,65 @@ bool sound_prefix(const RasterTopK& result, const std::vector<RasterHit>& exact,
   return true;
 }
 
-TEST(ShardParity, ShardedScatterGatherMatchesSerialMonolithic) {
-  std::vector<std::uint64_t> failing_seeds;
-  for (std::uint64_t seed = 0; seed < kCases; ++seed) {
-    const Case c = make_case(seed);
-    SCOPED_TRACE(c.describe());
-    const LinearRasterModel raster(c.model);
-    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
-    bool ok = true;
-    std::string why;
+/// Runs one case at every shard count and thread count: complete runs must
+/// be byte-identical to the serial monolithic answer, truncated ones must
+/// certify a sound prefix of it.
+bool sharded_matches_serial(const Case& c, std::string& why) {
+  const LinearRasterModel raster(c.model);
+  const ProgressiveLinearModel progressive(c.model, *c.ranges);
+  CostMeter serial_meter;
+  const std::vector<RasterHit> exact = run_serial(c, raster, progressive, serial_meter);
 
-    CostMeter serial_meter;
-    const std::vector<RasterHit> exact = run_serial(c, raster, progressive, serial_meter);
-
-    for (std::size_t shards : kShardCounts) {
-      const ShardedArchive sharded(*c.pooled->archive, shards, c.policy);
-      for (std::size_t workers : kWorkerCounts) {
-        ThreadPool pool(workers);
-        QueryContext ctx;
-        if (c.budgeted) ctx.with_op_budget(c.budget);
-        CostMeter meter;
-        const ShardedTopK result = run_sharded(c, sharded, raster, progressive, ctx, meter, pool);
-        const std::string where =
-            " (shards=" + std::to_string(shards) + " workers=" + std::to_string(workers) + ")";
-        if (result.shard_status.size() != shards) {
-          ok = false;
-          why = "shard_status has " + std::to_string(result.shard_status.size()) + " entries" +
-                where;
-          break;
-        }
-        if (!c.budgeted || result.merged.status == ResultStatus::kComplete) {
-          if (result.merged.status != ResultStatus::kComplete) {
-            ok = false;
-            why = "unbudgeted run not complete: " + std::string(to_string(result.merged.status)) +
-                  where;
-            break;
-          }
-          // Complete runs (no budget, or budget never hit) must be
-          // byte-identical to the serial monolithic answer.
-          if (!identical_hits(exact, result.merged, why)) {
-            ok = false;
-            why += where;
-            break;
-          }
-          for (ResultStatus status : result.shard_status) {
-            if (is_truncated(status)) {
-              ok = false;
-              why = "complete merge reported a truncated shard" + where;
-              break;
-            }
-          }
-          if (!ok) break;
-        } else if (!sound_prefix(result.merged, exact, why)) {
-          ok = false;
-          why += where;
-          break;
-        }
+  for (std::size_t shards : kShardCounts) {
+    const ShardedArchive sharded(*c.archive, shards, c.policy);
+    for (std::size_t workers : kWorkerCounts) {
+      ThreadPool pool(workers);
+      QueryContext ctx;
+      if (c.budgeted) ctx.with_op_budget(c.budget);
+      CostMeter meter;
+      const ShardedTopK result = run_sharded(c, sharded, raster, progressive, ctx, meter, pool);
+      const std::string where =
+          " (shards=" + std::to_string(shards) + " workers=" + std::to_string(workers) + ")";
+      if (result.shard_status.size() != shards) {
+        why = "shard_status has " + std::to_string(result.shard_status.size()) + " entries" +
+              where;
+        return false;
       }
-      if (!ok) break;
+      if (!c.budgeted || result.merged.status == ResultStatus::kComplete) {
+        if (result.merged.status != ResultStatus::kComplete) {
+          why = "unbudgeted run not complete: " + std::string(to_string(result.merged.status)) +
+                where;
+          return false;
+        }
+        // Complete runs (no budget, or budget never hit) must be
+        // byte-identical to the serial monolithic answer.
+        if (!identical_hits(exact, result.merged, why)) {
+          why += where;
+          return false;
+        }
+        for (ResultStatus status : result.shard_status) {
+          if (is_truncated(status)) {
+            why = "complete merge reported a truncated shard" + where;
+            return false;
+          }
+        }
+      } else if (!sound_prefix(result.merged, exact, why)) {
+        why += where;
+        return false;
+      }
     }
+  }
+  return true;
+}
 
+template <typename MakeCase>
+void run_battery(std::size_t cases, MakeCase&& make) {
+  std::vector<std::uint64_t> failing_seeds;
+  for (std::uint64_t seed = 0; seed < cases; ++seed) {
+    const Case c = make(seed);
+    SCOPED_TRACE(c.describe());
+    std::string why;
+    const bool ok = sharded_matches_serial(c, why);
     EXPECT_TRUE(ok) << why;
     if (!ok) failing_seeds.push_back(seed);
   }
@@ -275,6 +323,14 @@ TEST(ShardParity, ShardedScatterGatherMatchesSerialMonolithic) {
   }
 }
 
+TEST(ShardParity, ShardedScatterGatherMatchesSerialMonolithic) {
+  run_battery(kCases, make_case);
+}
+
+TEST(ShardParity, TileHashExactTiesMatchSerialMonolithic) {
+  run_battery(120, make_tie_case);
+}
+
 TEST(ShardParity, EngineShardedJobAndCachedReplayAgree) {
   // The engine path on top of the same executors: the sharded job's answer
   // equals the serial monolithic one, a replay hits the result cache, and a
@@ -284,7 +340,6 @@ TEST(ShardParity, EngineShardedJobAndCachedReplayAgree) {
   config.dispatchers = 2;
   config.intra_query_threads = 2;
   config.result_cache_entries = 1024;
-  config.tile_cache_entries = 1 << 14;
   config.metrics = nullptr;
   QueryEngine engine(config);
 
@@ -294,8 +349,8 @@ TEST(ShardParity, EngineShardedJobAndCachedReplayAgree) {
     if (c.budgeted) continue;  // cache admission needs complete answers
     SCOPED_TRACE(c.describe());
     const LinearRasterModel raster(c.model);
-    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
-    const ShardedArchive sharded(*c.pooled->archive, 4, c.policy);
+    const ProgressiveLinearModel progressive(c.model, *c.ranges);
+    const ShardedArchive sharded(*c.archive, 4, c.policy);
     bool ok = true;
     std::string why;
 

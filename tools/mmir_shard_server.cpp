@@ -2,7 +2,8 @@
 //
 // Builds the deterministic six-archive pool shared with
 // tests/test_shard_parity.cpp and tests/test_net_parity.cpp, registers the
-// archives under ids 1..6, and serves the wire protocol on loopback TCP
+// archives under ids 1..6 and the exact-tie scenarios of
+// testing/scenario_gen.hpp under ids 7.., and serves the wire protocol on loopback TCP
 // until SIGINT/SIGTERM.  The bound port is printed as "port=<p>" on stdout
 // (and flushed) so a launcher script can scrape it; everything else goes to
 // stderr.
@@ -25,6 +26,7 @@
 #include "data/scene.hpp"
 #include "net/shard_server.hpp"
 #include "obs/metrics.hpp"
+#include "testing/scenario_gen.hpp"
 
 namespace {
 
@@ -89,9 +91,18 @@ int main(int argc, char** argv) {
   config.engine.metrics = &metrics;
 
   const auto pool = build_pool();
+  std::vector<mmir::GeneratedArchive> ties;
+  for (const mmir::ScenarioConfig& cfg : mmir::tie_parity_scenarios()) {
+    ties.push_back(mmir::generate_scenario(cfg));
+  }
   mmir::net::ShardServer server(config);
   for (std::size_t a = 0; a < pool.size(); ++a) {
     server.register_archive(a + 1, pool[a]->archive.get(), pool[a]->ranges);
+  }
+  for (std::size_t a = 0; a < ties.size(); ++a) {
+    const auto ranges = ties[a].tiled().band_ranges();
+    server.register_archive(pool.size() + a + 1, ties[a].archive.get(),
+                            std::vector<mmir::Interval>(ranges.begin(), ranges.end()));
   }
   if (!server.start()) {
     std::fprintf(stderr, "mmir_shard_server: cannot bind port %u\n",
