@@ -201,8 +201,9 @@ struct ShardedRow {
 // per-query work is too small to amortize the scatter — the full scan keeps
 // every shard busy on real pixel work.  Byte-identical answers are the
 // parity suite's job; here we track the throughput of the scatter-gather
-// machinery itself, and ci/bench_diff.py gates the best row.  Same caveat
-// as E10: shard speedup only means something on a multi-core host.
+// machinery itself, and ci/bench_diff.py gates the best row and the
+// 4-shard speedup.  Same caveat as E10: shard speedup only means something
+// on a multi-core host.
 std::vector<ShardedRow> run_sharded_table(const TiledArchive& archive,
                                           const ProgressiveLinearModel& progressive) {
   heading("E11: sharded scatter-gather throughput (engine/shard_exec)",

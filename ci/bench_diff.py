@@ -12,6 +12,12 @@ candidate regresses by more than the threshold (default 15%) on either:
   * E13  — the best qps across the cross-process router shard-count sweep
            (router_throughput rows; schema_version >= 5).
 
+It also enforces an E11 shape gate on the candidate alone: at 4 shards the
+sharded full scan must run at least 2x the serial scan's throughput
+(sharded_throughput row shards == 4, speedup_vs_serial).  Best qps alone
+cannot catch a sweep where sharding makes a query slower, because the
+shards=1 row then wins.  Skipped on hosts with hardware_concurrency < 4.
+
 It also enforces the E14 distributed-tracing acceptance bound on the
 candidate alone (schema_version >= 6): routing the same fleet traced (trace
 context on the wire, span trees shipped back and stitched) must cost at most
@@ -84,6 +90,36 @@ def e11_best_sharded_qps(doc: dict) -> float | None:
     if not rows:
         return None
     return max(float(row["qps"]) for row in rows)
+
+
+SHARDED_SPEEDUP_MIN = 2.0  # E11 shape: 4 shards >= 2x the serial scan
+SHARDED_SPEEDUP_SHARDS = 4
+
+
+def sharded_speedup_regressed(doc: dict) -> bool:
+    """E11 absolute shape gate on the candidate; returns True when it fails."""
+    rows = doc.get("sharded_throughput") or []
+    speedup = {int(row["shards"]): float(row["speedup_vs_serial"]) for row in rows}
+    if SHARDED_SPEEDUP_SHARDS not in speedup:
+        print(
+            "E11 sharded speedup gate skipped: missing rows (candidate recorded "
+            f"no shards={SHARDED_SPEEDUP_SHARDS} sharded_throughput row)"
+        )
+        return False
+    hw = int(doc.get("hardware_concurrency", 0))
+    if hw < 4:
+        print(
+            f"E11 sharded speedup gate skipped: hardware_concurrency {hw} < 4 "
+            "(shards cannot scan in parallel)"
+        )
+        return False
+    ratio = speedup[SHARDED_SPEEDUP_SHARDS]
+    verdict = "FAIL" if ratio < SHARDED_SPEEDUP_MIN else "ok"
+    print(
+        f"E11 sharded speedup: {SHARDED_SPEEDUP_SHARDS} shards = {ratio:.2f}x serial "
+        f"(floor {SHARDED_SPEEDUP_MIN:.1f}x) [{verdict}]"
+    )
+    return ratio < SHARDED_SPEEDUP_MIN
 
 
 HEDGED_TAIL_LIMIT = 1.5  # E12 acceptance: hedged p99 <= 1.5x no-fault p99
@@ -257,6 +293,9 @@ def main() -> int:
                 failed |= check(
                     "E11 best sharded qps", base_qps, cand_qps, args.threshold
                 )
+        # The E11 shape gate needs only the candidate's own rows.
+        if isinstance(cand_schema, int) and cand_schema >= 3:
+            failed |= sharded_speedup_regressed(cand)
         # E12 lands with schema_version 4: an absolute bound on the candidate
         # (hedging must cap the faulted tail), skipped on few-core hosts where
         # the duplicate leg cannot overlap the straggler.

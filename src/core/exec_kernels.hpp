@@ -5,11 +5,14 @@
 //
 // Each kernel scans one pixel rectangle — a tile, a row band, or the whole
 // scene — into a caller-owned TopK accumulator, charging a caller-owned
-// CostMeter and the shared QueryContext.  Nothing in here is thread-aware:
-// parallelism comes from running many kernels at once over disjoint
-// rectangles with per-worker accumulators/meters, which is exactly why the
-// serial and parallel executors can share this code and stay answer-
-// identical.
+// CostMeter and, through a ChargeLease it holds for the scan, the shared
+// QueryContext: the context's counter is touched once per slice of work, not
+// once per pixel, so workers scanning disjoint rectangles do not contend on
+// it.  Apart from the relaxed threshold below, nothing in here is
+// thread-aware: parallelism comes from running many kernels at once over
+// disjoint rectangles with per-worker accumulators/meters, which is exactly
+// why the serial and parallel executors can share this code and stay
+// answer-identical.
 //
 // Offers carry the pixel's row-major position (`pixel_rank`) as the TopK
 // rank, so exact score ties resolve to the canonical (score desc, rank asc)
@@ -21,11 +24,12 @@
 // screen_tiles() charges and runs the metadata pass for every one of them.
 //
 // The staged kernel takes its abandoning threshold through a callable so the
-// serial executor can pass the local heap threshold and the parallel one can
-// splice in the shared cross-worker threshold (a stale value only weakens
+// serial executor can pass the local heap threshold and the parallel and
+// sharded ones can splice in a SharedThreshold (a stale value only weakens
 // pruning, never soundness).
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -36,6 +40,7 @@
 
 #include "archive/tiled.hpp"
 #include "core/progressive_exec.hpp"
+#include "core/query_context.hpp"
 #include "core/raster_model.hpp"
 #include "linear/progressive.hpp"
 #include "obs/trace.hpp"
@@ -61,6 +66,26 @@ inline std::uint64_t pixel_rank(std::size_t x, std::size_t y) {
 inline std::uint64_t tile_min_rank(const TileSummary& tile) {
   return pixel_rank(tile.x0, tile.y0);
 }
+
+/// Monotone pruning threshold shared by the workers (or shard tasks) of one
+/// query: a relaxed atomic maximum.  Only the K-th best of some full
+/// all-exact heap is ever raised into it — a lower bound on the final global
+/// K-th best — so a stale (lower) read only weakens pruning, never
+/// soundness, and no ordering stronger than relaxed is needed.
+class SharedThreshold {
+ public:
+  [[nodiscard]] double get() const noexcept { return value_.load(std::memory_order_relaxed); }
+
+  void raise(double candidate) noexcept {
+    double current = value_.load(std::memory_order_relaxed);
+    while (candidate > current &&
+           !value_.compare_exchange_weak(current, candidate, std::memory_order_relaxed)) {
+    }
+  }
+
+ private:
+  std::atomic<double> value_{kNegInf};
+};
 
 /// Drains a TopK accumulator into a best-first hit vector.
 inline std::vector<RasterHit> finalize(TopK<RasterHit>& top) {
@@ -88,15 +113,15 @@ struct ScanTally {
 /// Staged evaluation of one pixel with early abandoning: returns the exact
 /// score, or any value strictly below `threshold` once the upper bound drops
 /// under it.  Charges one op + point per term actually computed, both to the
-/// meter and to the query context (whose failure aborts the pixel — callers
-/// must check ctx.stopped() on return).
+/// meter and to the lease (whose failure aborts the pixel — callers must
+/// check the context's stopped() on return).
 inline double staged_pixel(const TiledArchive& archive, const ProgressiveLinearModel& model,
-                           std::size_t x, std::size_t y, double threshold, QueryContext& ctx,
+                           std::size_t x, std::size_t y, double threshold, ChargeLease& lease,
                            CostMeter& meter) {
   const auto order = model.order();
   double partial = model.model().bias();
   for (std::size_t stage = 0; stage < order.size(); ++stage) {
-    if (!ctx.charge(1)) return kNegInf;  // aborted mid-pixel; ctx.stopped() is set
+    if (!lease.charge(1)) return kNegInf;  // aborted mid-pixel; the context is stopped
     const std::size_t band = order[stage];
     partial += model.model().weight(band) * archive.band(band).cell(x, y);
     meter.add_ops(1);
@@ -123,7 +148,8 @@ inline double full_pixel(const TiledArchive& archive, const RasterModel& model, 
 
 /// Scans the rectangle [x0,x1)×[y0,y1) with the full model, offering every
 /// finite score into `top` and counting visited pixels / non-finite
-/// evaluations into `tally` (bad points also go to the context).  Stops
+/// evaluations into `tally` (bad points also go to the context).  Charges
+/// through a ChargeLease held for the call and released on return.  Stops
 /// early — possibly mid-row — once the context stops; callers check
 /// ctx.stopped() to distinguish.
 inline void scan_rect_full(const TiledArchive& archive, const RasterModel& model, std::size_t x0,
@@ -131,9 +157,10 @@ inline void scan_rect_full(const TiledArchive& archive, const RasterModel& model
                            std::vector<double>& scratch, QueryContext& ctx, CostMeter& meter,
                            ScanTally& tally) {
   const std::uint64_t ops_per_pixel = model.ops_per_evaluation();
+  ChargeLease lease(ctx);
   for (std::size_t y = y0; y < y1 && !ctx.stopped(); ++y) {
     for (std::size_t x = x0; x < x1; ++x) {
-      if (!ctx.charge(ops_per_pixel)) break;
+      if (!lease.charge(ops_per_pixel)) break;
       ++tally.pixels;
       const double score = full_pixel(archive, model, x, y, scratch, meter);
       if (!std::isfinite(score)) {
@@ -155,10 +182,11 @@ inline void scan_rect_staged(const TiledArchive& archive, const ProgressiveLinea
                              std::size_t x0, std::size_t x1, std::size_t y0, std::size_t y1,
                              TopK<RasterHit>& top, ThresholdFn&& threshold, OnOfferFn&& on_offer,
                              QueryContext& ctx, CostMeter& meter, ScanTally& tally) {
+  ChargeLease lease(ctx);
   for (std::size_t y = y0; y < y1 && !ctx.stopped(); ++y) {
     for (std::size_t x = x0; x < x1; ++x) {
       ++tally.pixels;
-      const double score = staged_pixel(archive, model, x, y, threshold(), ctx, meter);
+      const double score = staged_pixel(archive, model, x, y, threshold(), lease, meter);
       if (ctx.stopped()) break;
       if (!std::isfinite(score)) {
         ctx.note_bad_points();

@@ -18,16 +18,25 @@
 // score of anything they did not examine — a partial answer the caller can
 // still reason about instead of an exception or an unbounded stall.
 //
-// Concurrency: one context is shared by every worker of a tile-parallel
-// execution (engine/parallel_exec.hpp), so the mutable execution state —
-// spent counter, check tick, bad-point tally, latched stop reason — lives in
-// relaxed atomics:
+// Concurrency: one context is shared by every worker of a tile-parallel or
+// sharded execution (engine/parallel_exec.hpp, engine/shard_exec.hpp), so
+// the mutable execution state — spent counter, check tick, bad-point tally,
+// latched stop reason — lives in relaxed atomics.  The raster kernels do not
+// charge it per pixel: each worker spends through its own ChargeLease (below),
+// which draws allowance from the context a slice at a time and hands back
+// what it did not spend.  The guarantees are:
 //
-//   * charge() accumulates with fetch_add; concurrent charges never lose
-//     work, so the budget is enforced exactly (the first add that lands past
-//     the budget fails, and every later charge observes the latch).
+//   * one worker — whether it calls charge() or spends through a lease —
+//     trips on exactly the same unit, with the same final spent(): a lease's
+//     last draw is whatever remains, and a refused request is booked like a
+//     refused charge();
+//   * several workers never do more work than the budget allows, and every
+//     truncated answer keeps a sound certified prefix — but a worker may be
+//     refused while a sibling still holds unspent allowance, so the trip
+//     point is no longer a single global unit, and spent() may exceed
+//     budget() by at most one refused request per worker;
 //   * the stop reason latches via compare-exchange: exactly one cause wins
-//     and is never overwritten by a concurrently detected one.
+//     and is never overwritten by a concurrently detected one;
 //   * relaxed ordering is sufficient because the context only *steers*
 //     control flow; result data produced by workers is published by the
 //     thread pool's join, never through the context.
@@ -39,10 +48,12 @@
 // without linking mmir_core; only the cold deadline/cancel path touches the
 // clock, and it is kept out of charge()'s inlined fast path.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -92,8 +103,9 @@ class QueryContext {
   }
 
   /// Chains this context under `parent`: every charge is forwarded to the
-  /// parent first, so the *global* budget/deadline/cancel envelope stays
-  /// exactly enforced across any number of children, and a parent stop
+  /// parent first, so the *global* budget/deadline/cancel envelope holds
+  /// across any number of children (a ChargeLease on a child draws through
+  /// the whole chain and never past its tightest budget), and a parent stop
   /// latches the parent's reason here so inner loops unwind with the global
   /// verdict.  The child may add its own (tighter) deadline and cancel flag
   /// — the per-shard sub-deadline and hedge-cancellation seams of the shard
@@ -120,22 +132,14 @@ class QueryContext {
 
   /// How many charged units elapse between deadline / cancellation checks
   /// (default 1024).  Lower values react faster and cost more clock reads.
-  /// With W workers sharing the context the *aggregate* check cadence is the
-  /// same; each individual worker may go up to W intervals between checks.
+  /// It is also the slice a ChargeLease draws per refill, and every refill
+  /// checks the deadline and cancel flag: each worker holding a lease checks
+  /// at least once per slice of its *own* work, however many share the
+  /// context.
   QueryContext& with_check_interval(std::uint64_t units) {
     MMIR_EXPECTS(units > 0);
     check_interval_ = units;
     return *this;
-  }
-
-  /// True when nothing can ever stop this context — no budget, deadline,
-  /// cancel flag, or (transitively) limited parent.  charge() then cannot
-  /// fail, so bulk executors may charge coarse-grained aggregates (e.g. a
-  /// whole tile at once) without changing trip behavior or the final
-  /// spent() total.  Read-only; safe against concurrent charges.
-  [[nodiscard]] bool unbounded() const noexcept {
-    return budget_ == std::numeric_limits<std::uint64_t>::max() && !has_deadline_ &&
-           cancel_ == nullptr && (parent_ == nullptr || parent_->unbounded());
   }
 
   // ------------------------------------------------------------------ execution
@@ -143,24 +147,9 @@ class QueryContext {
   /// Charges `units` of work.  Returns true when execution may proceed;
   /// false once the budget is exhausted, the deadline passed, or the caller
   /// cancelled.  The first failure latches: all later charges fail too.
-  /// Safe to call concurrently from multiple workers (see header comment).
-  [[nodiscard]] bool charge(std::uint64_t units = 1) noexcept {
-    if (stop_.load(std::memory_order_relaxed) != ResultStatus::kComplete) return false;
-    if (parent_ != nullptr && !parent_->charge(units)) {
-      latch(parent_->stop_reason());
-      return false;
-    }
-    const std::uint64_t spent = spent_.fetch_add(units, std::memory_order_relaxed) + units;
-    if (spent > budget_) {
-      latch(ResultStatus::kTruncatedBudget);
-      return false;
-    }
-    if (has_deadline_ || cancel_ != nullptr) {
-      const std::uint64_t tick = tick_.fetch_add(units, std::memory_order_relaxed) + units;
-      if (tick >= check_interval_) return check_slow();
-    }
-    return true;
-  }
+  /// Safe to call concurrently from multiple workers (see header comment);
+  /// per-pixel kernels spend through a ChargeLease instead.
+  [[nodiscard]] bool charge(std::uint64_t units = 1) noexcept { return draw(units, units, 0); }
 
   /// Forces an immediate budget / deadline / cancellation check without
   /// charging work (used at coarse-grained checkpoints, e.g. between
@@ -221,6 +210,66 @@ class QueryContext {
   }
 
  private:
+  friend class ChargeLease;
+
+  /// charge() and the ChargeLease refill in one: charges `units` at every
+  /// level of the parent chain, parents first.  `held` is allowance the
+  /// caller already drew through the whole chain and offers toward this
+  /// request.  On refusal the books read as if the request — `held` plus
+  /// `keep` new units — had been one refused charge(): levels that accepted
+  /// the add keep `held + keep` of it, levels it never reached refund
+  /// `held`.  charge(n) is draw(n, n, 0), for which the refund branches
+  /// fold away.
+  [[nodiscard]] bool draw(std::uint64_t units, std::uint64_t keep, std::uint64_t held) noexcept {
+    if (stop_.load(std::memory_order_relaxed) != ResultStatus::kComplete) {
+      give_back(held);
+      return false;
+    }
+    if (parent_ != nullptr && !parent_->draw(units, keep, held)) {
+      latch(parent_->stop_reason());
+      if (held > 0) spent_.fetch_sub(held, std::memory_order_relaxed);
+      return false;
+    }
+    const std::uint64_t spent = spent_.fetch_add(units, std::memory_order_relaxed) + units;
+    if (spent > budget_) {
+      latch(ResultStatus::kTruncatedBudget);
+      give_back(units - keep);
+      return false;
+    }
+    if (has_deadline_ || cancel_ != nullptr) {
+      const std::uint64_t tick = tick_.fetch_add(units, std::memory_order_relaxed) + units;
+      if (tick >= check_interval_ && !check_slow()) {
+        give_back(units - keep);
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Returns `units` of drawn allowance to this level and every parent.
+  void give_back(std::uint64_t units) noexcept {
+    if (units == 0) return;
+    spent_.fetch_sub(units, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->give_back(units);
+  }
+
+  /// The smallest remaining() along the parent chain.
+  [[nodiscard]] std::uint64_t headroom() const noexcept {
+    std::uint64_t room = remaining();
+    for (const QueryContext* p = parent_; p != nullptr; p = p->parent_) {
+      room = std::min(room, p->remaining());
+    }
+    return room;
+  }
+
+  /// True once this context or any parent has latched a stop.
+  [[nodiscard]] bool chain_stopped() const noexcept {
+    for (const QueryContext* c = this; c != nullptr; c = c->parent_) {
+      if (c->stopped()) return true;
+    }
+    return false;
+  }
+
   /// Latches the first stop reason; concurrent detections of a different
   /// cause lose the race and keep the original reason.  The winning latch is
   /// recorded on the trace span (exactly once, from the winning thread).
@@ -274,6 +323,68 @@ class QueryContext {
   // charge).  Kept after the hot atomics so adding it does not shift their
   // cache-line placement.
   const obs::Span* span_ = nullptr;
+};
+
+/// A worker-local allowance on a QueryContext: how a raster kernel spends
+/// budget.  charge() spends from the allowance with a plain subtract (plus a
+/// relaxed read of the stop latches, so a stop latched by a sibling is seen
+/// on the next request); only a refill touches the context's shared
+/// counter.  A refill counts the leftover toward the request and draws, in
+/// one charge, max(need, min(slice, headroom)) — `need` being what the
+/// leftover does not cover, `slice` the context's check interval and
+/// `headroom` the smallest remaining budget along its parent chain — so a
+/// single worker is refused on exactly the unit a per-unit charge() would
+/// be, with the same final spent().  Each refill checks the deadline and
+/// cancel flag.  Destruction (or release()) hands the unspent allowance back
+/// to every level of the chain, so once all leases are gone spent() is the
+/// work done plus any refused requests.  See the header comment for what
+/// changes when several workers lease from one context.
+///
+/// charge() returning false implies the leased context is stopped().  Not
+/// thread-safe: one lease per worker.  Release every lease before reset() or before
+/// reading spent() as a final total.
+class ChargeLease {
+ public:
+  explicit ChargeLease(QueryContext& ctx) noexcept : ctx_(&ctx) {}
+  ChargeLease(ChargeLease&& other) noexcept
+      : ctx_(other.ctx_), held_(std::exchange(other.held_, 0)) {}
+  ChargeLease(const ChargeLease&) = delete;
+  ChargeLease& operator=(const ChargeLease&) = delete;
+  ChargeLease& operator=(ChargeLease&&) = delete;
+  ~ChargeLease() { release(); }
+
+  /// Spends `units` of work; false once the context (or a parent) stopped.
+  [[nodiscard]] bool charge(std::uint64_t units = 1) noexcept {
+    return take_held(units) || refill(units);
+  }
+
+  /// Spends `units` only if the allowance already held covers them and no
+  /// stop has latched; otherwise spends nothing and latches nothing.  Lets
+  /// a caller pay for a run of requests at once where charge() could not
+  /// have refused any of them.
+  [[nodiscard]] bool take_held(std::uint64_t units) noexcept {
+    if (units > held_ || ctx_->chain_stopped()) return false;
+    held_ -= units;
+    return true;
+  }
+
+  /// Returns the unspent allowance to the context chain.
+  void release() noexcept { ctx_->give_back(std::exchange(held_, 0)); }
+
+ private:
+  /// Cold: one draw from the context.  Kept out of line so charge() inlines
+  /// into per-pixel loops as a compare and a subtract.
+  [[gnu::noinline]] bool refill(std::uint64_t units) noexcept {
+    const std::uint64_t need = units > held_ ? units - held_ : 0;
+    const std::uint64_t grant =
+        std::max(need, std::min(ctx_->check_interval_, ctx_->headroom()));
+    if (!ctx_->draw(grant, need, std::exchange(held_, 0))) return false;
+    held_ = grant - need;
+    return true;
+  }
+
+  QueryContext* ctx_;
+  std::uint64_t held_ = 0;
 };
 
 }  // namespace mmir

@@ -18,10 +18,14 @@ using exec::kNegInf;
 /// result are independent of who else rides the batch.
 struct MemberState {
   explicit MemberState(const BatchMemberSpec& s)
-      : spec(&s), ctx(s.ctx), meter(s.meter), top(s.k) {}
+      : spec(&s), ctx(s.ctx), lease(*s.ctx), meter(s.meter), top(s.k) {}
 
   const BatchMemberSpec* spec;
   QueryContext* ctx;  // hoisted out of spec: dereferenced per pixel
+  /// The member's scan-stage allowance on its own context: per-pixel charges
+  /// are a local subtract, the context is drawn once per slice.  Released at
+  /// finalize, before anything reads the context's totals.
+  ChargeLease lease;
   CostMeter* meter;
   TopK<RasterHit> top;
   exec::ScanTally tally;
@@ -54,10 +58,8 @@ struct MemberState {
   std::size_t subset_pos = 0;  // cursor into tile_subset (ascending)
   bool screened = false;
   bool staged = false;
-  /// Full-model member whose context can never trip: charged per tile in
-  /// one aggregate instead of per pixel (same spent() total, no trip to
-  /// mistime, one atomic where the solo path pays thousands).
-  bool bulk_charged = false;
+  /// The current tile row's charges were taken in one go from the lease.
+  bool row_paid = false;
   bool done = false;     // finished its tiles or tripped
   bool stopped = false;  // tripped (budget / deadline / cancel)
   bool scan_trip = false;
@@ -142,7 +144,6 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
       m.full = spec.model;
       m.full_linear = dynamic_cast<const LinearRasterModel*>(spec.model);
       m.ops_per_pixel = spec.model->ops_per_evaluation();
-      m.bulk_charged = spec.ctx->unbounded();
     }
     switch (spec.mode) {
       case BatchScanMode::kTileScreened:
@@ -217,10 +218,6 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
         }
       }
       ++m.tiles_scanned;
-      if (m.bulk_charged) {
-        (void)m.ctx->charge(static_cast<std::uint64_t>(tile.width) * tile.height *
-                            m.ops_per_pixel);
-      }
       needing.push_back(&m);
     }
     if (needing.empty()) {
@@ -231,6 +228,15 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
     }
 
     for (std::size_t y = tile.y0; y < tile.y0 + tile.height; ++y) {
+      // A full-model member whose lease already holds the whole row pays
+      // for it up front: none of the row's charges could have been refused.
+      // Rows that need a refill charge per pixel, so refills, deadline
+      // checks and refusals land on exactly the units they would solo; a
+      // stop latched elsewhere meanwhile is seen at the next row.
+      for (MemberState* mp : needing) {
+        mp->row_paid = !mp->staged && !mp->done &&
+                       mp->lease.take_held(tile.width * mp->ops_per_pixel);
+      }
       for (std::size_t x = tile.x0; x < tile.x0 + tile.width; ++x) {
         const std::uint64_t rank = exec::pixel_rank(x, y);
         bool decoded = false;
@@ -245,7 +251,7 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
             // shares no decode with the full-model members.
             ++m.tally.pixels;
             const double score = exec::staged_pixel(archive, *m.spec->progressive, x, y,
-                                                    m.top.threshold(), ctx, meter);
+                                                    m.top.threshold(), m.lease, meter);
             if (ctx.stopped()) {
               trip(m, t);
               continue;
@@ -262,7 +268,7 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
             // Mirrors exec::scan_rect_full, except the physical gather runs
             // once per pixel; every member is billed its full logical read
             // so its meter matches a solo run byte for byte.
-            if (!m.bulk_charged && !ctx.charge(m.ops_per_pixel)) {
+            if (!m.row_paid && !m.lease.charge(m.ops_per_pixel)) {
               trip(m, t);
               continue;
             }
@@ -292,6 +298,7 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
   for (std::size_t i = 0; i < states.size(); ++i) {
     MemberState& m = states[i];
     BatchMemberResult& r = out[i];
+    m.lease.release();
     // Flush the deferred shared-decode billing before anything reads the
     // meter; the totals equal per-pixel billing byte for byte.
     if (m.shared_reads > 0) {

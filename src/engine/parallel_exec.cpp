@@ -11,24 +11,7 @@ namespace mmir {
 namespace {
 
 using exec::kNegInf;
-
-/// Monotone shared pruning threshold: a relaxed atomic maximum.  Readers may
-/// observe a stale (lower) value, which only weakens pruning — never
-/// soundness — so no ordering stronger than relaxed is needed.
-class SharedThreshold {
- public:
-  [[nodiscard]] double get() const noexcept { return value_.load(std::memory_order_relaxed); }
-
-  void raise(double candidate) noexcept {
-    double current = value_.load(std::memory_order_relaxed);
-    while (candidate > current &&
-           !value_.compare_exchange_weak(current, candidate, std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> value_{kNegInf};
-};
+using exec::SharedThreshold;
 
 /// Per-worker accumulation state; one slot per pool worker + caller, indexed
 /// by the parallel_for slot so no synchronization is needed until the merge.

@@ -21,8 +21,9 @@
 // serial executors' top-K byte for byte, exact ties included.
 //
 // All workers share one QueryContext (concurrency-safe, see
-// core/query_context.hpp): the first worker whose charge fails latches the
-// stop reason and every other worker unwinds at its next charge.  Truncated
+// core/query_context.hpp), each kernel spending it through its own
+// ChargeLease: the first worker refused latches the stop reason and every
+// other worker unwinds at its next charge.  Truncated
 // results carry the same kind of sound missed-score bound as the serial
 // executors — for tile-order executors, the max bound over tiles not fully
 // examined; for scan-order executors, the archive-level model bound.

@@ -22,28 +22,9 @@ namespace mmir {
 namespace {
 
 using exec::kNegInf;
+using exec::SharedThreshold;
 
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
-
-/// Monotone shared pruning threshold across shard tasks (same shape as the
-/// tile-parallel executors'): a relaxed atomic maximum.  Stale reads only
-/// weaken pruning, never soundness, because the value is always the K-th
-/// best of some full all-exact heap — a lower bound on the final global
-/// K-th best.
-class SharedThreshold {
- public:
-  [[nodiscard]] double get() const noexcept { return value_.load(std::memory_order_relaxed); }
-
-  void raise(double candidate) noexcept {
-    double current = value_.load(std::memory_order_relaxed);
-    while (candidate > current &&
-           !value_.compare_exchange_weak(current, candidate, std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> value_{kNegInf};
-};
 
 /// Per-shard accumulation state.  Indexed by shard id — each shard is
 /// processed by exactly one pool slot, so no synchronization is needed until
@@ -212,9 +193,9 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
   retry.jitter_seed = policy.jitter_seed;
 
   // One leg's attempt loop.  Every attempt gets a fresh child context chained
-  // under the global one: charges stay globally exact, a global stop latches
-  // through, and the child adds the per-shard sub-deadline plus this leg's
-  // cancel flag.  Work charged by attempts that are later discarded stays
+  // under the global one: the kernels' charge leases draw through it, so the
+  // global budget is never exceeded, a global stop latches through, and the
+  // child adds the per-shard sub-deadline plus this leg's cancel flag.  Work charged by attempts that are later discarded stays
   // charged — the work was really done.
   const auto run_leg = [&](std::size_t s, int leg_id, LegState& leg, ShardSlot& slot) {
     const ShardInfo& shard = sharded.shard(s);

@@ -6,9 +6,9 @@
 // ThreadPool, every shard runs the *serial* scan kernels over its own tiles
 // into a private top-K heap, and a gather step merges the partial heaps into
 // one global top-K.  All shard tasks share one QueryContext, so the op budget
-// and deadline are enforced globally — shards draw slices from the shared
-// budget atomically instead of receiving static S-way splits, which keeps a
-// fast shard from stranding budget a slow shard needed.
+// and deadline hold globally — each scan draws lease slices from the shared
+// budget (core/query_context.hpp) instead of receiving a static S-way split,
+// which keeps a fast shard from stranding budget a slow shard needed.
 //
 // Soundness of the merge (proof sketch in DESIGN.md §6e):
 //   * each shard's partial is the exact top-K of the pixels it examined, plus

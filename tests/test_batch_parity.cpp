@@ -348,6 +348,53 @@ TEST(BatchParity, DirectBatchMatchesSerialAtEveryFanIn) {
   }
 }
 
+TEST(BatchParity, BudgetedMembersTripOnTheirOwnUnit) {
+  // A member spends its budget one pixel (full model) or one term (staged)
+  // at a time, whoever rides along: it is refused exactly when the next
+  // request no longer fits, its meter shows the work done up to there, and
+  // its context's books add the refused request.
+  const TiledArchive& archive = scenario_pool()[0]->gen.tiled();
+  const std::uint64_t bands = archive.band_count();
+  const std::uint64_t full_cost = archive.pixel_count() * bands;
+  for (const RasterJob::Mode mode :
+       {RasterJob::Mode::kFullScan, RasterJob::Mode::kProgressiveModel}) {
+    const bool staged = mode == RasterJob::Mode::kProgressiveModel;
+    const std::uint64_t unit = staged ? 1 : bands;
+    for (std::uint64_t budget = 0; budget < full_cost + 2 * bands; budget += 37) {
+      for (const std::size_t fanin : {1UL, 4UL}) {
+        SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode) << " budget "
+                                        << budget << " fanin " << fanin);
+        std::deque<MemberRun> runs;
+        Case c = make_case_on(7, 0);
+        c.mode = mode;
+        c.budgeted = true;
+        c.budget = budget;
+        runs.emplace_back(c);
+        for (std::size_t j = 1; j < fanin; ++j) {
+          Case filler = make_case_on(100 + j, 0);
+          filler.mode = RasterJob::Mode::kFullScan;
+          filler.budgeted = false;
+          runs.emplace_back(filler);
+        }
+        std::vector<BatchMemberSpec> specs;
+        for (MemberRun& r : runs) specs.push_back(r.spec());
+        const auto results = batch_scan(archive, std::span<const BatchMemberSpec>(specs));
+        const std::uint64_t work = runs[0].meter.ops();
+        if (is_truncated(results[0].result.status)) {
+          EXPECT_EQ(results[0].result.status, ResultStatus::kTruncatedBudget);
+          EXPECT_LE(work, budget);
+          EXPECT_GT(work + unit, budget);
+          EXPECT_EQ(runs[0].ctx.spent(), work + unit);
+        } else {
+          EXPECT_LE(work, budget);
+          EXPECT_EQ(runs[0].ctx.spent(), work);
+          if (!staged) EXPECT_EQ(work, full_cost);
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 2. Engine-level batched admission across batch sizes and dispatchers.
 // ---------------------------------------------------------------------------

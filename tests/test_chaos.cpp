@@ -51,6 +51,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "testing/fault_injector.hpp"
+#include "testing/scenario_gen.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 
@@ -129,7 +130,8 @@ const char* const kFamilyNames[] = {"delay", "fail", "corrupt", "mixed"};
 struct ChaosCase {
   std::uint64_t seed = 0;
   std::size_t archive_index = 0;
-  const PooledArchive* pooled = nullptr;
+  const TiledArchive* archive = nullptr;
+  const std::vector<Interval>* ranges = nullptr;
   Exec exec = Exec::kFullScan;
   ShardPolicy policy = ShardPolicy::kRowBands;
   std::size_t k = 1;
@@ -161,7 +163,9 @@ ChaosCase make_chaos_case(std::uint64_t seed) {
   ChaosCase c;
   c.seed = seed;
   c.archive_index = rng.uniform_int(archive_pool().size());
-  c.pooled = archive_pool()[c.archive_index].get();
+  const PooledArchive& pooled = *archive_pool()[c.archive_index];
+  c.archive = pooled.archive.get();
+  c.ranges = &pooled.ranges;
   c.exec = static_cast<Exec>(rng.uniform_int(4));
   c.policy = rng.bernoulli(0.5) ? ShardPolicy::kRowBands : ShardPolicy::kTileHash;
   c.k = 1 + rng.uniform_int(32);
@@ -214,8 +218,7 @@ ChaosCase make_chaos_case(std::uint64_t seed) {
   // fault domains compose with budget / deadline truncation.
   c.budgeted = rng.bernoulli(0.25);
   if (c.budgeted) {
-    const std::size_t pixels = c.pooled->scene.width * c.pooled->scene.height;
-    c.budget = 16 + rng.uniform_int(pixels * 4ULL);
+    c.budget = 16 + rng.uniform_int(c.archive->pixel_count() * 4ULL);
   }
   c.deadlined = rng.bernoulli(0.15);
   return c;
@@ -223,7 +226,7 @@ ChaosCase make_chaos_case(std::uint64_t seed) {
 
 std::vector<RasterHit> run_serial(const ChaosCase& c, const LinearRasterModel& raster,
                                   const ProgressiveLinearModel& progressive, CostMeter& meter) {
-  const TiledArchive& archive = *c.pooled->archive;
+  const TiledArchive& archive = *c.archive;
   switch (c.exec) {
     case Exec::kFullScan: return full_scan_top_k(archive, raster, c.k, meter);
     case Exec::kProgressiveModel:
@@ -390,133 +393,211 @@ LinearModel directed_model() {
 
 // ------------------------------------------------------------------ battery
 
-TEST(ChaosBattery, EveryScheduleYieldsSoundBoundedResultsWithCorrectStatus) {
-  double pinned_rate = 0.0;
-  const bool rate_pinned = env_rate(pinned_rate);
+/// What a battery run saw, summed over its cases.
+struct BatteryTally {
+  ShardFaultStats faults;
+  std::size_t complete = 0, degraded = 0, shed = 0, truncated = 0;
+};
 
-  std::vector<std::uint64_t> failing_seeds;
-  ShardFaultStats total;
-  std::size_t complete_runs = 0, degraded_runs = 0, shed_runs = 0, truncated_runs = 0;
+/// Runs one chaos case and checks it against the soundness contract; false
+/// (with `why`) on a violation.  `exact_prefix` also requires the certified
+/// prefix to match the serial answer's pixels, not just its scores — the
+/// tie battery's check that no fault path reorders exact ties.
+bool check_chaos_case(const ChaosCase& c, bool exact_prefix, BatteryTally& tally,
+                      std::string& why) {
+  const LinearRasterModel raster(c.model);
+  const ProgressiveLinearModel progressive(c.model, *c.ranges);
 
-  for (std::uint64_t seed = 0; seed < kChaosCases; ++seed) {
-    const ChaosCase c = make_chaos_case(seed);
-    SCOPED_TRACE(c.describe());
-    const LinearRasterModel raster(c.model);
-    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
-    bool ok = true;
-    std::string why;
+  CostMeter serial_meter;
+  const std::vector<RasterHit> exact = run_serial(c, raster, progressive, serial_meter);
 
-    CostMeter serial_meter;
-    const std::vector<RasterHit> exact = run_serial(c, raster, progressive, serial_meter);
+  const ShardedArchive sharded(*c.archive, c.shards, c.policy);
+  ThreadPool pool(c.workers);
+  QueryContext ctx;
+  if (c.budgeted) ctx.with_op_budget(c.budget);
+  if (c.deadlined) ctx.with_timeout(std::chrono::milliseconds(25));
+  ChaosPolicy chaos(c.chaos);
+  const ShardExecOptions options{c.fault, &chaos, nullptr};
+  CostMeter meter;
 
-    const ShardedArchive sharded(*c.pooled->archive, c.shards, c.policy);
-    ThreadPool pool(c.workers);
-    QueryContext ctx;
-    if (c.budgeted) ctx.with_op_budget(c.budget);
-    if (c.deadlined) ctx.with_timeout(std::chrono::milliseconds(25));
-    ChaosPolicy chaos(c.chaos);
-    const ShardExecOptions options{c.fault, &chaos, nullptr};
-    CostMeter meter;
+  const auto t0 = std::chrono::steady_clock::now();
+  const ShardedTopK result = run_sharded(c, sharded, raster, progressive, ctx, meter, pool,
+                                         &options);
+  const auto wall = std::chrono::steady_clock::now() - t0;
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const ShardedTopK result = run_sharded(c, sharded, raster, progressive, ctx, meter, pool,
-                                           &options);
-    const auto wall = std::chrono::steady_clock::now() - t0;
+  const ShardFaultStats& fs = result.fault_stats;
+  tally.faults.attempts += fs.attempts;
+  tally.faults.retries += fs.retries;
+  tally.faults.timeouts += fs.timeouts;
+  tally.faults.faults_injected += fs.faults_injected;
+  tally.faults.hedges_launched += fs.hedges_launched;
+  tally.faults.hedges_won += fs.hedges_won;
+  tally.faults.bounds_widened += fs.bounds_widened;
+  tally.faults.failed_shards += fs.failed_shards;
 
-    const ShardFaultStats& fs = result.fault_stats;
-    total.attempts += fs.attempts;
-    total.retries += fs.retries;
-    total.timeouts += fs.timeouts;
-    total.faults_injected += fs.faults_injected;
-    total.hedges_launched += fs.hedges_launched;
-    total.hedges_won += fs.hedges_won;
-    total.bounds_widened += fs.bounds_widened;
-    total.failed_shards += fs.failed_shards;
-
-    // A fault domain degrades; it must never hang.  5s is orders of
-    // magnitude above any legitimate schedule (<= 8 shards x 3 attempts x
-    // 2.5ms delays) while still catching a lost-wakeup deadlock.
-    if (wall > std::chrono::seconds(5)) {
-      ok = false;
-      why = "execution took too long";
-    } else if (result.shard_status.size() != c.shards) {
-      ok = false;
-      why = "shard_status has " + std::to_string(result.shard_status.size()) + " entries";
-    } else if (!sound_prefix(result.merged, exact, why) ||
-               !sound_bound(result.merged, exact, why) ||
-               !unique_locations(result.merged, why)) {
-      ok = false;
-    } else if (!c.budgeted && !c.deadlined) {
-      // No global envelope: the status must come from the fault-domain
-      // precedence alone.
-      if (result.merged.status == ResultStatus::kShed) {
-        ++shed_runs;
-        const std::size_t live = live_shards(sharded);
-        if (fs.failed_shards != live || live == 0) {
-          ok = false;
-          why = "kShed without every live shard dead (failed=" +
-                std::to_string(fs.failed_shards) + " live=" + std::to_string(live) + ")";
-        } else if (!result.merged.hits.empty() ||
-                   result.merged.missed_bound != std::numeric_limits<double>::infinity()) {
-          ok = false;
-          why = "all-shards-dead merge must be empty with a +inf bound";
-        }
-      } else if (is_truncated(result.merged.status)) {
-        ok = false;
-        why = "fault surfaced as truncated status " +
-              std::string(to_string(result.merged.status)) + " without a global envelope";
-      } else if (fs.degraded_shards > 0) {
-        ++degraded_runs;
-        if (result.merged.status != ResultStatus::kDegraded) {
-          ok = false;
-          why = "degraded shards but merged status " +
-                std::string(to_string(result.merged.status));
-        }
-      } else {
-        ++complete_runs;
-        if (result.merged.status != ResultStatus::kComplete) {
-          ok = false;
-          why = "no degraded shard but merged status " +
-                std::string(to_string(result.merged.status));
-        } else if (!identical_hits(exact, result.merged, why)) {
-          ok = false;
-          why += " (fault-free or fully-recovered run must be byte-identical)";
-        }
-      }
-    } else if (is_truncated(result.merged.status)) {
-      ++truncated_runs;
-    }
-
-    EXPECT_TRUE(ok) << why;
-    if (!ok) failing_seeds.push_back(seed);
+  // A fault domain degrades; it must never hang.  5s is orders of
+  // magnitude above any legitimate schedule (<= 8 shards x 3 attempts x
+  // 2.5ms delays) while still catching a lost-wakeup deadlock.
+  if (wall > std::chrono::seconds(5)) {
+    why = "execution took too long";
+    return false;
   }
+  if (result.shard_status.size() != c.shards) {
+    why = "shard_status has " + std::to_string(result.shard_status.size()) + " entries";
+    return false;
+  }
+  if (!sound_prefix(result.merged, exact, why) || !sound_bound(result.merged, exact, why) ||
+      !unique_locations(result.merged, why)) {
+    return false;
+  }
+  if (exact_prefix) {
+    for (std::size_t i = 0; i < result.merged.certified_prefix(); ++i) {
+      if (result.merged.hits[i].x != exact[i].x || result.merged.hits[i].y != exact[i].y) {
+        why = "certified rank " + std::to_string(i) + " is a different pixel than the exact answer's";
+        return false;
+      }
+    }
+  }
+  if (c.budgeted || c.deadlined) {
+    if (is_truncated(result.merged.status)) ++tally.truncated;
+    return true;
+  }
+  // No global envelope: the status must come from the fault-domain
+  // precedence alone.
+  if (result.merged.status == ResultStatus::kShed) {
+    ++tally.shed;
+    const std::size_t live = live_shards(sharded);
+    if (fs.failed_shards != live || live == 0) {
+      why = "kShed without every live shard dead (failed=" + std::to_string(fs.failed_shards) +
+            " live=" + std::to_string(live) + ")";
+      return false;
+    }
+    if (!result.merged.hits.empty() ||
+        result.merged.missed_bound != std::numeric_limits<double>::infinity()) {
+      why = "all-shards-dead merge must be empty with a +inf bound";
+      return false;
+    }
+    return true;
+  }
+  if (is_truncated(result.merged.status)) {
+    why = "fault surfaced as truncated status " + std::string(to_string(result.merged.status)) +
+          " without a global envelope";
+    return false;
+  }
+  if (fs.degraded_shards > 0) {
+    ++tally.degraded;
+    if (result.merged.status != ResultStatus::kDegraded) {
+      why = "degraded shards but merged status " + std::string(to_string(result.merged.status));
+      return false;
+    }
+    return true;
+  }
+  ++tally.complete;
+  if (result.merged.status != ResultStatus::kComplete) {
+    why = "no degraded shard but merged status " + std::string(to_string(result.merged.status));
+    return false;
+  }
+  if (!identical_hits(exact, result.merged, why)) {
+    why += " (fault-free or fully-recovered run must be byte-identical)";
+    return false;
+  }
+  return true;
+}
 
+/// Runs `cases` through check_chaos_case, reporting every failing seed.
+BatteryTally run_battery(const std::vector<ChaosCase>& cases, bool exact_prefix) {
+  BatteryTally tally;
+  std::vector<std::uint64_t> failing_seeds;
+  for (const ChaosCase& c : cases) {
+    SCOPED_TRACE(c.describe());
+    std::string why;
+    const bool ok = check_chaos_case(c, exact_prefix, tally, why);
+    EXPECT_TRUE(ok) << why;
+    if (!ok) failing_seeds.push_back(c.seed);
+  }
   if (!failing_seeds.empty()) {
     std::ostringstream os;
     os << "failing case seeds:";
     for (std::uint64_t s : failing_seeds) os << ' ' << s;
     ADD_FAILURE() << os.str();
   }
-
-  if (rate_pinned && pinned_rate == 0.0) {
-    EXPECT_EQ(total.faults_injected, 0u) << "rate pinned to 0 but chaos injected faults";
+  double pinned_rate = 0.0;
+  if (env_rate(pinned_rate) && pinned_rate == 0.0) {
+    EXPECT_EQ(tally.faults.faults_injected, 0u) << "rate pinned to 0 but chaos injected faults";
   } else {
-    EXPECT_GT(total.faults_injected, 0u) << "the battery never injected a fault";
+    EXPECT_GT(tally.faults.faults_injected, 0u) << "the battery never injected a fault";
   }
   std::printf(
-      "[chaos] cases=%llu attempts=%llu retries=%llu timeouts=%llu injected=%llu "
+      "[chaos] cases=%zu attempts=%llu retries=%llu timeouts=%llu injected=%llu "
       "hedges=%llu hedge_wins=%llu widened=%llu failed=%llu | complete=%zu degraded=%zu "
       "shed=%zu truncated=%zu\n",
-      static_cast<unsigned long long>(kChaosCases),
-      static_cast<unsigned long long>(total.attempts),
-      static_cast<unsigned long long>(total.retries),
-      static_cast<unsigned long long>(total.timeouts),
-      static_cast<unsigned long long>(total.faults_injected),
-      static_cast<unsigned long long>(total.hedges_launched),
-      static_cast<unsigned long long>(total.hedges_won),
-      static_cast<unsigned long long>(total.bounds_widened),
-      static_cast<unsigned long long>(total.failed_shards), complete_runs, degraded_runs,
-      shed_runs, truncated_runs);
+      cases.size(), static_cast<unsigned long long>(tally.faults.attempts),
+      static_cast<unsigned long long>(tally.faults.retries),
+      static_cast<unsigned long long>(tally.faults.timeouts),
+      static_cast<unsigned long long>(tally.faults.faults_injected),
+      static_cast<unsigned long long>(tally.faults.hedges_launched),
+      static_cast<unsigned long long>(tally.faults.hedges_won),
+      static_cast<unsigned long long>(tally.faults.bounds_widened),
+      static_cast<unsigned long long>(tally.faults.failed_shards), tally.complete,
+      tally.degraded, tally.shed, tally.truncated);
+  return tally;
+}
+
+TEST(ChaosBattery, EveryScheduleYieldsSoundBoundedResultsWithCorrectStatus) {
+  std::vector<ChaosCase> cases;
+  for (std::uint64_t seed = 0; seed < kChaosCases; ++seed) cases.push_back(make_chaos_case(seed));
+  (void)run_battery(cases, false);
+}
+
+/// The exact-tie archives (testing/scenario_gen.hpp), built once.
+struct TieArchive {
+  GeneratedArchive gen;
+  std::vector<Interval> ranges;
+};
+
+const std::vector<TieArchive>& tie_pool() {
+  static const auto pool = [] {
+    std::vector<TieArchive> p;
+    for (const ScenarioConfig& cfg : tie_parity_scenarios()) {
+      TieArchive a{generate_scenario(cfg), {}};
+      const auto r = a.gen.tiled().band_ranges();
+      a.ranges.assign(r.begin(), r.end());
+      p.push_back(std::move(a));
+    }
+    return p;
+  }();
+  return pool;
+}
+
+/// A chaos schedule over an exact-tie archive: the schedule, shard count,
+/// workers and envelope of make_chaos_case(seed), with an integer-weight
+/// model and a quarter-integer bias (exactly representable, so equal
+/// palette picks score exactly equal) and the shard policy alternating by
+/// seed so both layouts meet the ties.
+ChaosCase make_tie_chaos_case(std::uint64_t seed) {
+  ChaosCase c = make_chaos_case(seed);
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x71e5ULL);
+  c.archive_index = archive_pool().size() + rng.uniform_int(tie_pool().size());
+  const TieArchive& tie = tie_pool()[c.archive_index - archive_pool().size()];
+  c.archive = tie.gen.archive.get();
+  c.ranges = &tie.ranges;
+  c.policy = seed % 2 == 0 ? ShardPolicy::kRowBands : ShardPolicy::kTileHash;
+  std::vector<double> weights(4);
+  for (double& w : weights) w = static_cast<double>(rng.uniform_int(5)) - 2.0;
+  c.model = LinearModel(std::move(weights), 0.25 * (static_cast<double>(rng.uniform_int(17)) - 8.0),
+                        {"b0", "b1", "b2", "b3"});
+  if (c.budgeted) c.budget = 16 + rng.uniform_int(c.archive->pixel_count() * 4ULL);
+  return c;
+}
+
+TEST(ChaosBattery, ExactTieSchedulesStayCanonical) {
+  // Clean schedules must return the serial monolithic answer byte for byte
+  // — exact ties resolved by pixel rank under both shard policies — and
+  // faulted ones a certified prefix made of the serial answer's own pixels.
+  std::vector<ChaosCase> cases;
+  for (std::uint64_t seed = 0; seed < 120; ++seed) cases.push_back(make_tie_chaos_case(seed));
+  const BatteryTally tally = run_battery(cases, true);
+  EXPECT_GT(tally.complete, 0u) << "no clean schedule reached the byte-identity check";
 }
 
 // With active options but no chaos source and generous limits, the
@@ -530,8 +611,8 @@ TEST(ChaosBattery, ActiveOptionsWithoutFaultsAreByteIdenticalToLegacyPath) {
     c.deadlined = false;
     SCOPED_TRACE(c.describe());
     const LinearRasterModel raster(c.model);
-    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
-    const ShardedArchive sharded(*c.pooled->archive, c.shards, c.policy);
+    const ProgressiveLinearModel progressive(c.model, *c.ranges);
+    const ShardedArchive sharded(*c.archive, c.shards, c.policy);
     bool ok = true;
     std::string why;
 
@@ -588,8 +669,8 @@ TEST(ChaosBattery, FailOnlySchedulesReplayIdenticallyAcrossWorkerCounts) {
     c.fault.retry_max_backoff = std::chrono::microseconds(50);
     SCOPED_TRACE(c.describe());
     const LinearRasterModel raster(c.model);
-    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
-    const ShardedArchive sharded(*c.pooled->archive, c.shards, c.policy);
+    const ProgressiveLinearModel progressive(c.model, *c.ranges);
+    const ShardedArchive sharded(*c.archive, c.shards, c.policy);
 
     std::vector<ShardedTopK> runs;
     std::vector<ShardFaultStats> stats;

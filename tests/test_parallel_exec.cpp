@@ -2,20 +2,26 @@
 // (engine/parallel_exec.hpp): for every thread count the parallel executors
 // must return the serial executors' top-K (modulo exact ties), and under
 // budget / deadline / cancellation truncation the certified prefix must
-// still be a sound prefix of the exact answer.
+// still be a sound prefix of the exact answer.  The ChargeLease tests pin how
+// the kernels spend a shared budget: exactly like per-unit charging on one
+// worker, never past the budget on several, stops seen within one slice.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <thread>
 #include <vector>
 
+#include "archive/sharded.hpp"
+#include "core/exec_kernels.hpp"
 #include "core/progressive_exec.hpp"
 #include "data/scene.hpp"
 #include "engine/parallel_exec.hpp"
+#include "engine/shard_exec.hpp"
 #include "engine/thread_pool.hpp"
 #include "linear/model.hpp"
 #include "linear/progressive.hpp"
@@ -66,13 +72,15 @@ void expect_equivalent_hits(const std::vector<RasterHit>& serial,
 }
 
 /// Soundness of a truncated answer: its certified prefix must match the
-/// exact top-K rank for rank (ties at a rank share a score, so score
-/// equality is the tie-insensitive check).
+/// exact top-K rank for rank, pixels included (answers are canonical, so
+/// exact ties leave no slack).
 void expect_sound_prefix(const RasterTopK& truncated, const std::vector<RasterHit>& exact) {
   ASSERT_TRUE(is_truncated(truncated.status));
   const std::size_t certified = truncated.certified_prefix();
   ASSERT_LE(certified, exact.size());
   for (std::size_t i = 0; i < certified; ++i) {
+    EXPECT_EQ(truncated.hits[i].x, exact[i].x) << "certified rank " << i;
+    EXPECT_EQ(truncated.hits[i].y, exact[i].y) << "certified rank " << i;
     EXPECT_EQ(truncated.hits[i].score, exact[i].score) << "certified rank " << i;
   }
 }
@@ -297,6 +305,270 @@ TEST(ParallelParity, InlinePoolSpendsExactlyLikeSerial) {
     expect_equivalent_hits(serial.hits, par.hits, w);
     EXPECT_EQ(par_ctx.spent(), serial_ctx.spent());
     EXPECT_EQ(par_meter.ops(), serial_meter.ops());
+  }
+}
+
+// ------------------------------------------------------------ charge leases
+
+/// The per-unit reference the lease must reproduce on one worker: the full
+/// scan as it was written before leases, one QueryContext::charge per pixel.
+RasterTopK per_charge_full_scan(const TiledArchive& archive, const RasterModel& model,
+                                std::size_t k, QueryContext& ctx) {
+  TopK<RasterHit> top(k);
+  std::vector<double> scratch(archive.band_count());
+  CostMeter meter;
+  RasterTopK out;
+  for (std::size_t y = 0; y < archive.height() && !ctx.stopped(); ++y) {
+    for (std::size_t x = 0; x < archive.width(); ++x) {
+      if (!ctx.charge(model.ops_per_evaluation())) break;
+      const double score = exec::full_pixel(archive, model, x, y, scratch, meter);
+      if (!std::isfinite(score)) {
+        ++out.bad_points;
+        continue;
+      }
+      top.offer_ranked(score, exec::pixel_rank(x, y), RasterHit{x, y, score});
+    }
+  }
+  out.hits = exec::finalize(top);
+  if (ctx.stopped()) {
+    out.status = ctx.stop_reason();
+    out.missed_bound = exec::archive_score_bound(archive, model);
+  } else {
+    out.status = exec::completion_status(archive, out.bad_points);
+  }
+  return out;
+}
+
+void expect_same_hits(const std::vector<RasterHit>& a, const std::vector<RasterHit>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].x, b[i].x) << "rank " << i;
+    EXPECT_EQ(a[i].y, b[i].y) << "rank " << i;
+    EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
+  }
+}
+
+TEST(ChargeLease, RefusesTheSameRequestAsPerUnitCharges) {
+  // Mixed request sizes against every budget in a range, at several slices:
+  // a single lease is refused on the same request as charge(), and once it
+  // is released spent() matches too — refused request included.
+  std::vector<std::uint64_t> requests;
+  for (std::uint64_t i = 0; i < 400; ++i) requests.push_back(1 + (i * 7919) % 9);
+  for (const std::uint64_t interval : {1UL, 3UL, 16UL, 1024UL}) {
+    for (std::uint64_t budget = 0; budget < 2200; budget += 7) {
+      QueryContext plain;
+      plain.with_op_budget(budget).with_check_interval(interval);
+      QueryContext leased;
+      leased.with_op_budget(budget).with_check_interval(interval);
+      std::size_t plain_granted = 0;
+      while (plain_granted < requests.size() && plain.charge(requests[plain_granted])) {
+        ++plain_granted;
+      }
+      std::size_t lease_granted = 0;
+      {
+        ChargeLease lease(leased);
+        while (lease_granted < requests.size() && lease.charge(requests[lease_granted])) {
+          ++lease_granted;
+        }
+        // A refusal always leaves the context stopped.
+        EXPECT_EQ(leased.stopped(), lease_granted < requests.size());
+      }
+      ASSERT_EQ(lease_granted, plain_granted) << "budget " << budget << " slice " << interval;
+      EXPECT_EQ(leased.stop_reason(), plain.stop_reason());
+      EXPECT_EQ(leased.spent(), plain.spent()) << "budget " << budget << " slice " << interval;
+    }
+  }
+}
+
+TEST(ChargeLease, SeesAStopLatchedElsewhereOnTheNextRequest) {
+  // A lease still holding allowance must not spend it once a sibling (or,
+  // through a chained child, anyone under the parent) has latched a stop.
+  QueryContext ctx;
+  ctx.with_op_budget(5000);
+  ChargeLease lease(ctx);
+  ASSERT_TRUE(lease.charge(1));  // draws a whole slice
+  EXPECT_FALSE(ctx.charge(4000));  // a sibling's request trips the budget
+  EXPECT_FALSE(lease.charge(1));
+  lease.release();
+  EXPECT_EQ(ctx.spent(), 1u + 4000u);
+
+  QueryContext parent;
+  parent.with_op_budget(5000);
+  QueryContext child;
+  child.with_parent(&parent);
+  ChargeLease child_lease(child);
+  ASSERT_TRUE(child_lease.charge(1));
+  EXPECT_FALSE(parent.charge(4000));
+  EXPECT_FALSE(child_lease.charge(1));
+  EXPECT_EQ(child.stop_reason(), ResultStatus::kTruncatedBudget);
+  child_lease.release();
+  EXPECT_EQ(child.spent(), 1u);
+  EXPECT_EQ(parent.spent(), 1u + 4000u);
+}
+
+TEST(ChargeLease, SerialFullScanTripsOnTheSameUnitAsPerChargeMode) {
+  // 30x30 pixels: the cost is no multiple of the slice, so budgets above it
+  // leave allowance for the lease to hand back.
+  const Workload w(30, 5);
+  const TiledArchive archive(w.bands, 8);
+  const std::uint64_t cost = archive.width() * archive.height() * w.raster_model.ops_per_evaluation();
+  std::vector<std::uint64_t> budgets;
+  for (std::uint64_t b = 0; b < cost; b += 61) budgets.push_back(b);
+  for (std::uint64_t b = cost - 40; b <= cost + 8; ++b) budgets.push_back(b);
+  for (const std::uint64_t budget : budgets) {
+    SCOPED_TRACE(budget);
+    QueryContext reference_ctx;
+    reference_ctx.with_op_budget(budget);
+    const RasterTopK reference = per_charge_full_scan(archive, w.raster_model, 10, reference_ctx);
+    QueryContext ctx;
+    ctx.with_op_budget(budget);
+    CostMeter meter;
+    const RasterTopK leased = full_scan_top_k(archive, w.raster_model, 10, ctx, meter);
+    EXPECT_EQ(leased.status, reference.status);
+    expect_same_hits(leased.hits, reference.hits);
+    EXPECT_EQ(leased.missed_bound, reference.missed_bound);
+    EXPECT_EQ(ctx.spent(), reference_ctx.spent());
+    // On the inline pool the tile-parallel scan is one worker too.
+    QueryContext inline_ctx;
+    inline_ctx.with_op_budget(budget);
+    ThreadPool inline_pool(0);
+    CostMeter inline_meter;
+    const RasterTopK inline_run =
+        parallel_full_scan_top_k(archive, w.raster_model, 10, inline_ctx, inline_meter, inline_pool);
+    EXPECT_EQ(inline_run.status, reference.status);
+    expect_same_hits(inline_run.hits, reference.hits);
+    EXPECT_EQ(inline_ctx.spent(), reference_ctx.spent());
+  }
+}
+
+TEST(ChargeLease, ChainedChildTripsAtTheParentsUnit) {
+  // The fault-domain sub-context shape: an unbounded child with its own
+  // cancel flag and a short check interval, chained under a budgeted parent.
+  const Workload w(30, 6);
+  const TiledArchive archive(w.bands, 8);
+  const std::uint64_t cost = archive.width() * archive.height() * w.raster_model.ops_per_evaluation();
+  for (std::uint64_t budget = 1; budget < cost + 8; budget += 37) {
+    SCOPED_TRACE(budget);
+    std::atomic<bool> cancel{false};
+    QueryContext reference_parent;
+    reference_parent.with_op_budget(budget);
+    QueryContext reference_child;
+    reference_child.with_parent(&reference_parent).with_cancel_flag(&cancel).with_check_interval(128);
+    const RasterTopK reference = per_charge_full_scan(archive, w.raster_model, 10, reference_child);
+
+    QueryContext parent;
+    parent.with_op_budget(budget);
+    QueryContext child;
+    child.with_parent(&parent).with_cancel_flag(&cancel).with_check_interval(128);
+    CostMeter meter;
+    const RasterTopK leased = full_scan_top_k(archive, w.raster_model, 10, child, meter);
+    EXPECT_EQ(leased.status, reference.status);
+    expect_same_hits(leased.hits, reference.hits);
+    EXPECT_EQ(leased.missed_bound, reference.missed_bound);
+    EXPECT_EQ(child.spent(), reference_child.spent());
+    EXPECT_EQ(parent.spent(), reference_parent.spent());
+    EXPECT_EQ(parent.stop_reason(), reference_parent.stop_reason());
+  }
+}
+
+TEST(ChargeLease, FourWorkersNeverOverspendAndKeepASoundPrefix) {
+  const Workload w(64, 8);
+  const TiledArchive archive(w.bands, 8);
+  const ShardedArchive sharded(archive, 4);
+  const std::uint64_t ops = w.raster_model.ops_per_evaluation();
+  const std::uint64_t cost = archive.width() * archive.height() * ops;
+  CostMeter exact_meter;
+  const auto exact = full_scan_top_k(archive, w.raster_model, 12, exact_meter);
+  ThreadPool pool(3);
+  const std::uint64_t workers = pool.slot_count();
+  for (int round = 0; round < 10; ++round) {
+    for (const std::uint64_t budget : {cost / 7, cost / 2, cost - 3, cost - 1}) {
+      for (const bool use_shards : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "budget " << budget << " shards " << use_shards);
+        QueryContext ctx;
+        ctx.with_op_budget(budget).with_check_interval(64);
+        CostMeter meter;
+        const RasterTopK out =
+            use_shards
+                ? sharded_full_scan_top_k(sharded, w.raster_model, 12, ctx, meter, pool).merged
+                : parallel_full_scan_top_k(archive, w.raster_model, 12, ctx, meter, pool);
+        ASSERT_EQ(out.status, ResultStatus::kTruncatedBudget);
+        // Work done never exceeds the budget; the books add at most one
+        // refused request per worker on top of it.
+        EXPECT_LE(meter.ops(), budget);
+        EXPECT_GE(ctx.spent(), meter.ops());
+        EXPECT_LE(ctx.spent(), budget + workers * ops);
+        expect_sound_prefix(out, exact);
+      }
+    }
+  }
+}
+
+/// A linear raster model that fires a trigger on its `at`-th evaluation and
+/// counts evaluations that begin after the trigger has fired.
+class TriggerModel final : public RasterModel {
+ public:
+  TriggerModel(const LinearRasterModel& inner, std::uint64_t at, std::function<void()> fire)
+      : inner_(inner), at_(at), fire_(std::move(fire)) {}
+  [[nodiscard]] std::size_t bands() const override { return inner_.bands(); }
+  [[nodiscard]] double evaluate(std::span<const double> pixel) const override {
+    if (fired_.load()) late_.fetch_add(1);
+    if (count_.fetch_add(1) + 1 == at_) {
+      fire_();
+      fired_.store(true);
+    }
+    return inner_.evaluate(pixel);
+  }
+  [[nodiscard]] Interval bound(std::span<const Interval> ranges) const override {
+    return inner_.bound(ranges);
+  }
+  [[nodiscard]] std::size_t ops_per_evaluation() const override {
+    return inner_.ops_per_evaluation();
+  }
+  [[nodiscard]] std::uint64_t late() const { return late_.load(); }
+
+ private:
+  const LinearRasterModel& inner_;
+  std::uint64_t at_;
+  std::function<void()> fire_;
+  mutable std::atomic<std::uint64_t> count_{0};
+  mutable std::atomic<std::uint64_t> late_{0};
+  mutable std::atomic<bool> fired_{false};
+};
+
+TEST(ChargeLease, CancelAndDeadlineAreSeenWithinOneSlicePerWorker) {
+  // Once the cancel flag is up (or the deadline has passed), each worker
+  // spends at most what its lease already held — under one slice — before
+  // its next refill checks and stops the query.
+  const Workload w(128, 12);
+  const TiledArchive archive(w.bands, 16);
+  const std::uint64_t slice = 64;
+  const std::uint64_t per_worker = slice / w.raster_model.ops_per_evaluation();
+  for (std::size_t pool_workers : {0UL, 3UL}) {
+    ThreadPool pool(pool_workers);
+    const std::uint64_t workers = pool.slot_count();
+    {
+      std::atomic<bool> cancel{false};
+      const TriggerModel model(w.raster_model, 300, [&] { cancel.store(true); });
+      QueryContext ctx;
+      ctx.with_cancel_flag(&cancel).with_check_interval(slice);
+      CostMeter meter;
+      const RasterTopK out = parallel_full_scan_top_k(archive, model, 8, ctx, meter, pool);
+      EXPECT_EQ(out.status, ResultStatus::kCancelled);
+      EXPECT_LE(model.late(), workers * per_worker) << "workers " << workers;
+    }
+    {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+      const TriggerModel model(w.raster_model, 300, [&] {
+        while (std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+      });
+      QueryContext ctx;
+      ctx.with_deadline(deadline).with_check_interval(slice);
+      CostMeter meter;
+      const RasterTopK out = parallel_full_scan_top_k(archive, model, 8, ctx, meter, pool);
+      EXPECT_EQ(out.status, ResultStatus::kTruncatedDeadline);
+      EXPECT_LE(model.late(), workers * per_worker) << "workers " << workers;
+    }
   }
 }
 
