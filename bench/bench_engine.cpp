@@ -11,7 +11,7 @@
 //       vs untraced; the tracing tax is gated <= 5% in ci/bench_diff.py.
 // E15 — batched shared-scan throughput: cold full-scan qps at batch fan-in
 //       1/4/16/64 with one dispatcher, measuring how much of the per-query
-//       decode cost the shared scan amortizes across batch-mates.
+//       scan cost the shared scan order amortizes across batch-mates.
 //
 // Sweeps dispatcher threads x admission queue depth x target result-cache
 // hit rate over a fixed stream of combined-executor raster queries, and
@@ -595,8 +595,9 @@ struct BatchRow {
 };
 
 // E15: batched shared-scan throughput.  A batch of F compatible cold full
-// scans decodes each pixel once and evaluates all F member models against
-// it, so the per-query cost falls from (read + eval) toward read/F + eval.
+// scans walks the archive once in tile order; each member runs its own row
+// kernel over every tile row while the row is L1-resident, so what a batch
+// can save is the memory traffic of F - 1 scans, plus per-query dispatch.
 // The sweep pins dispatchers at 1 so the measured gain is the shared scan,
 // not thread-level parallelism; queries are all-cold (distinct archive ids,
 // so the result cache never hits) and the engine starts paused so every
@@ -605,7 +606,7 @@ struct BatchRow {
 // hosts.
 std::vector<BatchRow> run_batch_table(const TiledArchive& archive, const LinearModel& model) {
   heading("E15: batched shared-scan throughput (cold full scans)",
-          "compatible concurrent queries share one decode pass per pixel");
+          "compatible concurrent queries share one pass over the tile rows");
 
   const LinearRasterModel raster(model);
   const std::size_t total = 128;  // multiple of every swept fan-in
@@ -650,8 +651,8 @@ std::vector<BatchRow> run_batch_table(const TiledArchive& archive, const LinearM
     rows.push_back(row);
   }
   std::printf(
-      "\nshape check: qps rises with fan-in and saturates once the decode cost\n"
-      "is fully amortized across batch-mates (eval cost is never shared).\n");
+      "\nshape check: qps rises with fan-in while memory traffic is the shared\n"
+      "cost; each member's own scoring is never shared.\n");
   footer();
   return rows;
 }

@@ -36,11 +36,11 @@ cmake --build "${BUILD}" -j"$(nproc)" \
            test_obs test_obs_concurrency test_export test_aggregate \
            test_stats_server test_shard_parity test_shard_merge \
            test_index_onion test_sproc_oracle test_explain test_chaos \
-           test_batch_parity test_net_wire test_net_parity
+           test_batch_parity test_scan_oracle test_net_wire test_net_parity
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "${BUILD}" --output-on-failure \
-  -R 'test_engine|test_parallel_exec|test_fault_injection|test_core|test_obs|test_obs_concurrency|test_export|test_aggregate|test_stats_server|test_shard_parity|test_shard_merge|test_index_onion|test_sproc_oracle|test_explain|test_batch_parity'
+  -R 'test_engine|test_parallel_exec|test_fault_injection|test_core|test_obs|test_obs_concurrency|test_export|test_aggregate|test_stats_server|test_shard_parity|test_shard_merge|test_index_onion|test_sproc_oracle|test_explain|test_batch_parity|test_scan_oracle'
 ctest --test-dir "${BUILD}" --output-on-failure -L chaos
 # TSan serializes heavily; a reduced parity battery still covers every
 # (mode, policy, shard-count) interleaving class.

@@ -8,7 +8,23 @@
 // CostMeter and, through a ChargeLease it holds for the scan, the shared
 // QueryContext: the context's counter is touched once per slice of work, not
 // once per pixel, so workers scanning disjoint rectangles do not contend on
-// it.  Apart from the relaxed threshold below, nothing in here is
+// it.
+//
+// Every full-model scan — serial, tile-screened, tile-parallel, sharded,
+// remote shard and batched — runs one row kernel, scan_row_full.  For a
+// linear model it scores a run of pixels plane by plane into the caller's
+// row buffer (bias, then each band's weighted run in band order, so scores
+// are bit-identical to LinearModel::evaluate), filters the run against the
+// heap threshold and offers the survivors; any other model is evaluated
+// per pixel.  It pays for a run with one ChargeLease::take_runs and bills
+// the meter once per run (n·bands points, n·bands·8 bytes, n·N ops), so
+// complete-scan totals are the per-pixel ones exactly and a single worker
+// trips on exactly the per-pixel unit.  One consequence: a stop latched by
+// a sibling worker (or a parent context) is seen at the kernel's next run —
+// after at most one lease slice of work — rather than at its next pixel.
+// The staged kernel stays per pixel: it abandons pixels term by term.
+//
+// Apart from the relaxed threshold below, nothing in here is
 // thread-aware: parallelism comes from running many kernels at once over
 // disjoint rectangles with per-worker accumulators/meters, which is exactly
 // why the serial and parallel executors can share this code and stay
@@ -138,45 +154,153 @@ inline double staged_pixel(const TiledArchive& archive, const ProgressiveLinearM
   return partial;
 }
 
-/// Full-model evaluation of one pixel.
+/// Full-model evaluation of one pixel through the model's virtual
+/// evaluate(), gathering its bands into `pixel` (size band_count()).
 inline double full_pixel(const TiledArchive& archive, const RasterModel& model, std::size_t x,
-                         std::size_t y, std::vector<double>& scratch, CostMeter& meter) {
-  archive.read_pixel(x, y, scratch, meter);
+                         std::size_t y, std::span<double> pixel, CostMeter& meter) {
+  archive.read_pixel(x, y, pixel, meter);
   meter.add_ops(model.ops_per_evaluation());
-  return model.evaluate(scratch);
+  return model.evaluate(pixel);
 }
 
-/// Scans the rectangle [x0,x1)×[y0,y1) with the full model, offering every
-/// finite score into `top` and counting visited pixels / non-finite
-/// evaluations into `tally` (bad points also go to the context).  Charges
-/// through a ChargeLease held for the call and released on return.  Stops
-/// early — possibly mid-row — once the context stops; callers check
-/// ctx.stopped() to distinguish.
+/// The §2.1 linear model `model` evaluates, or null when it is not a
+/// LinearRasterModel and has to be scored per pixel.
+inline const LinearModel* linear_model_of(const RasterModel& model) noexcept {
+  const auto* linear = dynamic_cast<const LinearRasterModel*>(&model);
+  return linear != nullptr ? &linear->linear() : nullptr;
+}
+
+/// Scores the `n` pixels of row y starting at column x with a linear model
+/// into out[0..n): every slot starts at the bias, then each band plane adds
+/// its weighted run, in band index order — per pixel exactly the sum
+/// LinearModel::evaluate forms, so the scores are bit-identical to it.
+inline void score_linear_run(const TiledArchive& archive, const LinearModel& model,
+                             std::size_t x, std::size_t y, std::size_t n, double* out) {
+  std::fill_n(out, n, model.bias());
+  const std::size_t offset = y * archive.width() + x;
+  const std::span<const double> weights = model.weights();
+  for (std::size_t b = 0; b < weights.size(); ++b) {
+    const double w = weights[b];
+    const double* plane = archive.band(b).flat().data() + offset;
+    for (std::size_t i = 0; i < n; ++i) out[i] += w * plane[i];
+  }
+}
+
+/// The full-model row kernel under every full scan: scores pixels [x0,x1)
+/// of row y, offering every finite score that reaches the heap's threshold
+/// and counting visited pixels and non-finite scores into `tally` (bad
+/// points also go to the context).  Budget is spent through `lease` one run
+/// at a time: take_runs() pays for the pixels its held allowance covers,
+/// and a run it cannot start pays one pixel through charge(), which may
+/// refill, check the deadline or refuse — so a single worker trips on
+/// exactly the pixel per-pixel charging would.  The meter is billed once
+/// per run: n·bands points, n·bands·8 bytes, n·N ops.
+///
+/// `linear` is linear_model_of(model), looked up once per scan by the
+/// caller: a linear model is scored plane-wise by score_linear_run, any
+/// other model (null) goes through full_pixel per pixel.  `scratch` is the
+/// caller's row buffer, grown here to the run width plus one pixel's bands
+/// and never shrunk.  Returns false once a charge is refused (the context
+/// is then stopped), true when the row is done.
+inline bool scan_row_full(const TiledArchive& archive, const RasterModel& model,
+                          const LinearModel* linear, std::size_t x0, std::size_t x1,
+                          std::size_t y, TopK<RasterHit>& top, std::vector<double>& scratch,
+                          ChargeLease& lease, QueryContext& ctx, CostMeter& meter,
+                          ScanTally& tally) {
+  const std::uint64_t unit = model.ops_per_evaluation();
+  const std::size_t bands = archive.band_count();
+  if (scratch.size() < x1 - x0 + bands) scratch.resize(x1 - x0 + bands);
+  double* scores = scratch.data();
+  const std::span<double> pixel(scratch.data() + (x1 - x0), bands);
+  for (std::size_t x = x0; x < x1;) {
+    std::size_t n = lease.take_runs(x1 - x, unit);
+    if (n == 0) {
+      if (!lease.charge(unit)) return false;
+      n = 1 + lease.take_runs(x1 - x - 1, unit);
+    }
+    tally.pixels += n;
+    if (linear != nullptr) {
+      score_linear_run(archive, *linear, x, y, n, scores);
+      meter.add_points(n * bands);
+      meter.add_bytes(n * bands * sizeof(double));
+      meter.add_ops(n * unit);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        scores[i] = full_pixel(archive, model, x + i, y, pixel, meter);
+      }
+    }
+    std::uint64_t bad = 0;
+    double threshold = top.threshold();  // moves only when an offer lands
+    for (std::size_t i = 0; i < n; ++i) {
+      const double score = scores[i];
+      if (!std::isfinite(score)) {
+        ++bad;
+        continue;
+      }
+      // >= rather than >: a score tying the threshold can still displace a
+      // worse-ranked incumbent under the canonical (score, rank) order.
+      if (score >= threshold &&
+          top.offer_ranked(score, pixel_rank(x + i, y), RasterHit{x + i, y, score})) {
+        threshold = top.threshold();
+      }
+    }
+    if (bad > 0) {
+      ctx.note_bad_points(bad);
+      tally.bad_points += bad;
+    }
+    x += n;
+  }
+  return true;
+}
+
+/// Scans the rectangle [x0,x1)×[y0,y1) with the full model, one
+/// scan_row_full per row, through a ChargeLease held for the call and
+/// released on return.  Stops early — possibly mid-row — once the context
+/// stops; callers check ctx.stopped() to distinguish.
 inline void scan_rect_full(const TiledArchive& archive, const RasterModel& model, std::size_t x0,
                            std::size_t x1, std::size_t y0, std::size_t y1, TopK<RasterHit>& top,
                            std::vector<double>& scratch, QueryContext& ctx, CostMeter& meter,
                            ScanTally& tally) {
-  const std::uint64_t ops_per_pixel = model.ops_per_evaluation();
   ChargeLease lease(ctx);
+  const LinearModel* linear = linear_model_of(model);
   for (std::size_t y = y0; y < y1 && !ctx.stopped(); ++y) {
-    for (std::size_t x = x0; x < x1; ++x) {
-      if (!lease.charge(ops_per_pixel)) break;
-      ++tally.pixels;
-      const double score = full_pixel(archive, model, x, y, scratch, meter);
-      if (!std::isfinite(score)) {
-        ctx.note_bad_points();
-        ++tally.bad_points;
-        continue;
-      }
-      top.offer_ranked(score, pixel_rank(x, y), RasterHit{x, y, score});
+    if (!scan_row_full(archive, model, linear, x0, x1, y, top, scratch, lease, ctx, meter,
+                       tally)) {
+      return;
     }
   }
 }
 
-/// Staged-scan counterpart of scan_rect_full.  `threshold` is a callable
-/// returning the current abandoning threshold (a lower bound on the final
-/// global K-th best); `on_offer` runs after each successful offer so callers
-/// can publish their updated heap threshold.
+/// Staged scan of pixels [x0,x1) of row y through `lease`, pixel by pixel
+/// (staged_pixel).  `threshold` is a callable returning the current
+/// abandoning threshold (a lower bound on the final global K-th best);
+/// `on_offer` runs after each successful offer so callers can publish their
+/// updated heap threshold.  Returns false once the context stops.
+template <typename ThresholdFn, typename OnOfferFn>
+inline bool scan_row_staged(const TiledArchive& archive, const ProgressiveLinearModel& model,
+                            std::size_t x0, std::size_t x1, std::size_t y, TopK<RasterHit>& top,
+                            ThresholdFn&& threshold, OnOfferFn&& on_offer, ChargeLease& lease,
+                            QueryContext& ctx, CostMeter& meter, ScanTally& tally) {
+  for (std::size_t x = x0; x < x1; ++x) {
+    ++tally.pixels;
+    const double score = staged_pixel(archive, model, x, y, threshold(), lease, meter);
+    if (ctx.stopped()) return false;
+    if (!std::isfinite(score)) {
+      ctx.note_bad_points();
+      ++tally.bad_points;
+      continue;
+    }
+    // >= rather than >: see scan_row_full.
+    if (score >= top.threshold() &&
+        top.offer_ranked(score, pixel_rank(x, y), RasterHit{x, y, score})) {
+      on_offer();
+    }
+  }
+  return true;
+}
+
+/// Staged-scan counterpart of scan_rect_full: one scan_row_staged per row
+/// through a lease held for the call.
 template <typename ThresholdFn, typename OnOfferFn>
 inline void scan_rect_staged(const TiledArchive& archive, const ProgressiveLinearModel& model,
                              std::size_t x0, std::size_t x1, std::size_t y0, std::size_t y1,
@@ -184,21 +308,9 @@ inline void scan_rect_staged(const TiledArchive& archive, const ProgressiveLinea
                              QueryContext& ctx, CostMeter& meter, ScanTally& tally) {
   ChargeLease lease(ctx);
   for (std::size_t y = y0; y < y1 && !ctx.stopped(); ++y) {
-    for (std::size_t x = x0; x < x1; ++x) {
-      ++tally.pixels;
-      const double score = staged_pixel(archive, model, x, y, threshold(), lease, meter);
-      if (ctx.stopped()) break;
-      if (!std::isfinite(score)) {
-        ctx.note_bad_points();
-        ++tally.bad_points;
-        continue;
-      }
-      // >= rather than >: a candidate tying the threshold can still displace
-      // a worse-ranked incumbent under the canonical (score, rank) order.
-      if (score >= top.threshold() &&
-          top.offer_ranked(score, pixel_rank(x, y), RasterHit{x, y, score})) {
-        on_offer();
-      }
+    if (!scan_row_staged(archive, model, x0, x1, y, top, threshold, on_offer, lease, ctx, meter,
+                         tally)) {
+      return;
     }
   }
 }

@@ -99,10 +99,10 @@ RasterTopK full_scan_top_k(const TiledArchive& archive, const RasterModel& model
   obs::Span span = obs::Span::child_of(ctx.span(), "full_scan");
   RasterTopK out;
   TopK<RasterHit> top(k);
-  std::vector<double> pixel(archive.band_count());
+  std::vector<double> row;  // scan_row_full's row buffer
   const std::uint64_t ops_before = meter.ops();
   exec::ScanTally tally;
-  exec::scan_rect_full(archive, model, 0, archive.width(), 0, archive.height(), top, pixel, ctx,
+  exec::scan_rect_full(archive, model, 0, archive.width(), 0, archive.height(), top, row, ctx,
                        meter, tally);
   out.bad_points = tally.bad_points;
   out.hits = exec::finalize(top);
@@ -163,13 +163,13 @@ RasterTopK tile_screened_top_k(const TiledArchive& archive, const RasterModel& m
                                std::size_t k, QueryContext& ctx, CostMeter& meter) {
   MMIR_EXPECTS(k > 0);
   MMIR_EXPECTS(model.bands() == archive.band_count());
-  std::vector<double> pixel(archive.band_count());
+  std::vector<double> row;  // scan_row_full's row buffer
   return screened_top_k(archive, model, model.ops_per_evaluation(), k, "tile_screened",
                         "full_model_scan", ctx, meter,
                         [&](const TileSummary& tile, TopK<RasterHit>& top,
                             exec::ScanTally& tally) {
                           exec::scan_rect_full(archive, model, tile.x0, tile.x0 + tile.width,
-                                               tile.y0, tile.y0 + tile.height, top, pixel, ctx,
+                                               tile.y0, tile.y0 + tile.height, top, row, ctx,
                                                meter, tally);
                         });
 }

@@ -51,6 +51,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -340,6 +341,12 @@ class QueryContext {
 /// work done plus any refused requests.  See the header comment for what
 /// changes when several workers lease from one context.
 ///
+/// take_runs() is the bulk form of charge() for kernels that work in runs
+/// (the full-scan row kernel): it pays for as many requests as the held
+/// allowance covers in one subtract, and a run it cannot start falls back to
+/// one charge(), so a single worker still trips on exactly the per-request
+/// unit.
+///
 /// charge() returning false implies the leased context is stopped().  Not
 /// thread-safe: one lease per worker.  Release every lease before reset() or before
 /// reading spent() as a final total.
@@ -358,20 +365,36 @@ class ChargeLease {
     return take_held(units) || refill(units);
   }
 
-  /// Spends `units` only if the allowance already held covers them and no
-  /// stop has latched; otherwise spends nothing and latches nothing.  Lets
-  /// a caller pay for a run of requests at once where charge() could not
-  /// have refused any of them.
-  [[nodiscard]] bool take_held(std::uint64_t units) noexcept {
-    if (units > held_ || ctx_->chain_stopped()) return false;
-    held_ -= units;
-    return true;
+  /// Bulk spend: spends the longest run of up to `max_n` requests of `unit`
+  /// each that the allowance already held covers, and returns its length —
+  /// exactly the run that successive charge(unit) calls would have granted
+  /// before the first one needing a refill.  Never draws from the context
+  /// and latches nothing; returns 0 once any stop has latched along the
+  /// chain.  A caller that gets 0 spends its next request through charge(),
+  /// so refills, deadline and cancel checks and refusals land on the same
+  /// units as per-request charging; a stop latched elsewhere is seen at the
+  /// next run rather than the next request.
+  [[nodiscard]] std::size_t take_runs(std::size_t max_n, std::uint64_t unit) noexcept {
+    if (ctx_->chain_stopped()) return 0;
+    const std::size_t n =
+        unit == 0 ? max_n : static_cast<std::size_t>(std::min<std::uint64_t>(max_n, held_ / unit));
+    held_ -= n * unit;
+    return n;
   }
 
   /// Returns the unspent allowance to the context chain.
   void release() noexcept { ctx_->give_back(std::exchange(held_, 0)); }
 
  private:
+  /// Hot half of charge(): spends `units` only if the allowance already held
+  /// covers them and no stop has latched; otherwise spends nothing and
+  /// latches nothing.
+  [[nodiscard]] bool take_held(std::uint64_t units) noexcept {
+    if (units > held_ || ctx_->chain_stopped()) return false;
+    held_ -= units;
+    return true;
+  }
+
   /// Cold: one draw from the context.  Kept out of line so charge() inlines
   /// into per-pixel loops as a compare and a subtract.
   [[gnu::noinline]] bool refill(std::uint64_t units) noexcept {

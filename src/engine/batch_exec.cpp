@@ -1,7 +1,6 @@
 #include "engine/batch_exec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "core/exec_kernels.hpp"
@@ -21,9 +20,9 @@ struct MemberState {
       : spec(&s), ctx(s.ctx), lease(*s.ctx), meter(s.meter), top(s.k) {}
 
   const BatchMemberSpec* spec;
-  QueryContext* ctx;  // hoisted out of spec: dereferenced per pixel
-  /// The member's scan-stage allowance on its own context: per-pixel charges
-  /// are a local subtract, the context is drawn once per slice.  Released at
+  QueryContext* ctx;
+  /// The member's scan-stage allowance on its own context, held across the
+  /// whole batch: the context is drawn once per slice.  Released at
   /// finalize, before anything reads the context's totals.
   ChargeLease lease;
   CostMeter* meter;
@@ -32,15 +31,6 @@ struct MemberState {
   std::uint64_t ops_before = 0;
   std::uint64_t tiles_scanned = 0;
   std::uint64_t tiles_pruned = 0;
-  /// Shared-decode billing, accumulated over the scan and flushed to the
-  /// meter once at finalize: pixels this member logically read but did not
-  /// physically gather, and full-model evaluations it ran.  The flushed
-  /// totals are byte-identical to per-pixel billing — the meter is only
-  /// observed after batch_scan returns — but cost three counter bumps per
-  /// pixel less, which is exactly the overhead the shared scan exists to
-  /// shed.
-  std::uint64_t shared_reads = 0;
-  std::uint64_t evals = 0;
 
   /// Screening state (kTileScreened / kCombined): the member's own metadata
   /// pass, as bound upper ends in tile-index order (-inf outside its domain).
@@ -48,18 +38,13 @@ struct MemberState {
   std::unique_ptr<LinearRasterModel> owned_screen;
   const RasterModel* screen = nullptr;
 
-  const RasterModel* full = nullptr;  // full-evaluation model (non-staged)
-  /// Devirtualized view of `full` when it is the (final) linear wrapper:
-  /// the per-pixel call inlines to the dot product instead of dispatching.
-  const LinearRasterModel* full_linear = nullptr;
-  std::uint64_t ops_per_pixel = 0;    // full-model ops (charge unit)
-  double domain_bound = kNegInf;      // sound pre-metadata missed bound
+  const RasterModel* full = nullptr;    // full-evaluation model (non-staged)
+  const LinearModel* linear = nullptr;  // exec::linear_model_of(*full)
+  double domain_bound = kNegInf;        // sound pre-metadata missed bound
 
   std::size_t subset_pos = 0;  // cursor into tile_subset (ascending)
   bool screened = false;
   bool staged = false;
-  /// The current tile row's charges were taken in one go from the lease.
-  bool row_paid = false;
   bool done = false;     // finished its tiles or tripped
   bool stopped = false;  // tripped (budget / deadline / cancel)
   bool scan_trip = false;
@@ -142,8 +127,7 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
       MMIR_EXPECTS(spec.model != nullptr);
       MMIR_EXPECTS(spec.model->bands() == band_count);
       m.full = spec.model;
-      m.full_linear = dynamic_cast<const LinearRasterModel*>(spec.model);
-      m.ops_per_pixel = spec.model->ops_per_evaluation();
+      m.linear = exec::linear_model_of(*spec.model);
     }
     switch (spec.mode) {
       case BatchScanMode::kTileScreened:
@@ -198,7 +182,7 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
   }
 
   // ---- Shared scan: every tile visited once, in tile-index order -------
-  std::vector<double> scratch(band_count);
+  std::vector<double> scratch;  // row buffer shared by the full-model members
   std::vector<MemberState*> needing;
   needing.reserve(states.size());
   for (std::size_t t = 0; t < tiles.size(); ++t) {
@@ -227,69 +211,23 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
       continue;
     }
 
+    // Row-major over the tile, every member in turn per row: the row's band
+    // planes stay L1-resident across members.  Each member runs the solo
+    // row kernels against its own lease, meter and heap, so its billing,
+    // its trip unit and its answer are those of a solo scan.
+    const std::size_t x1 = tile.x0 + tile.width;
     for (std::size_t y = tile.y0; y < tile.y0 + tile.height; ++y) {
-      // A full-model member whose lease already holds the whole row pays
-      // for it up front: none of the row's charges could have been refused.
-      // Rows that need a refill charge per pixel, so refills, deadline
-      // checks and refusals land on exactly the units they would solo; a
-      // stop latched elsewhere meanwhile is seen at the next row.
       for (MemberState* mp : needing) {
-        mp->row_paid = !mp->staged && !mp->done &&
-                       mp->lease.take_held(tile.width * mp->ops_per_pixel);
-      }
-      for (std::size_t x = tile.x0; x < tile.x0 + tile.width; ++x) {
-        const std::uint64_t rank = exec::pixel_rank(x, y);
-        bool decoded = false;
-        for (MemberState* mp : needing) {
-          MemberState& m = *mp;
-          if (m.done) continue;
-          QueryContext& ctx = *m.ctx;
-          CostMeter& meter = *m.meter;
-          if (m.staged) {
-            // Mirrors exec::scan_rect_staged with the member-local
-            // threshold: staged evaluation reads bands term by term, so it
-            // shares no decode with the full-model members.
-            ++m.tally.pixels;
-            const double score = exec::staged_pixel(archive, *m.spec->progressive, x, y,
-                                                    m.top.threshold(), m.lease, meter);
-            if (ctx.stopped()) {
-              trip(m, t);
-              continue;
-            }
-            if (!std::isfinite(score)) {
-              ctx.note_bad_points();
-              ++m.tally.bad_points;
-              continue;
-            }
-            if (score >= m.top.threshold()) {
-              m.top.offer_ranked(score, rank, RasterHit{x, y, score});
-            }
-          } else {
-            // Mirrors exec::scan_rect_full, except the physical gather runs
-            // once per pixel; every member is billed its full logical read
-            // so its meter matches a solo run byte for byte.
-            if (!m.row_paid && !m.lease.charge(m.ops_per_pixel)) {
-              trip(m, t);
-              continue;
-            }
-            ++m.tally.pixels;
-            if (!decoded) {
-              archive.read_pixel(x, y, scratch, meter);
-              decoded = true;
-            } else {
-              ++m.shared_reads;
-            }
-            const double score = m.full_linear != nullptr ? m.full_linear->evaluate(scratch)
-                                                          : m.full->evaluate(scratch);
-            ++m.evals;
-            if (!std::isfinite(score)) {
-              ctx.note_bad_points();
-              ++m.tally.bad_points;
-              continue;
-            }
-            m.top.offer_ranked(score, rank, RasterHit{x, y, score});
-          }
-        }
+        MemberState& m = *mp;
+        if (m.done) continue;
+        const bool finished =
+            m.staged ? exec::scan_row_staged(
+                           archive, *m.spec->progressive, tile.x0, x1, y, m.top,
+                           [&] { return m.top.threshold(); }, [] {}, m.lease, *m.ctx, *m.meter,
+                           m.tally)
+                     : exec::scan_row_full(archive, *m.full, m.linear, tile.x0, x1, y, m.top,
+                                           scratch, m.lease, *m.ctx, *m.meter, m.tally);
+        if (!finished) trip(m, t);
       }
     }
   }
@@ -299,13 +237,6 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
     MemberState& m = states[i];
     BatchMemberResult& r = out[i];
     m.lease.release();
-    // Flush the deferred shared-decode billing before anything reads the
-    // meter; the totals equal per-pixel billing byte for byte.
-    if (m.shared_reads > 0) {
-      m.meter->add_points(m.shared_reads * band_count);
-      m.meter->add_bytes(m.shared_reads * band_count * sizeof(double));
-    }
-    if (m.evals > 0) m.meter->add_ops(m.evals * m.ops_per_pixel);
     r.result.bad_points = m.tally.bad_points;
     r.result.hits = exec::finalize(m.top);
     r.scan_ops = m.meter->ops() - m.ops_before;

@@ -2,14 +2,14 @@
 // Batched shared-scan execution (multi-query optimisation).
 //
 // Many concurrent model-based queries walk the same tiled archive; a batch
-// visits every needed tile ONCE, reads each pixel once, and evaluates all
-// member models against it — amortising the decode/gather cost that
-// dominates cold full scans.  Members keep fully independent semantics:
+// visits every needed tile ONCE, in tile-index order, and within a tile
+// runs every participating member's row kernel (core/exec_kernels.hpp)
+// over each row in turn, so a row is pulled from memory once and stays
+// L1-resident for the rest.  Members keep fully independent semantics:
 //
 //   * attribution — every member owns its CostMeter and is billed exactly
-//     what it would have paid solo: pixels it evaluates (including its
-//     logical share of a physically shared read), its own metadata pass,
-//     its own pruned-tile credits;
+//     what it would have paid solo: the pixels it evaluates, its own
+//     metadata pass, its own pruned-tile credits;
 //   * fault envelopes — every member owns its QueryContext; a member whose
 //     budget or deadline trips drops out with a certified partial top-K
 //     prefix (sound missed_bound) while its batch-mates keep scanning;

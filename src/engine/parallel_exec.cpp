@@ -23,9 +23,9 @@ struct alignas(64) WorkerState {
   TopK<RasterHit> top;
   CostMeter meter;
   exec::ScanTally tally;
-  /// Full-model pixel gather buffer.  Sized by the worker's own thread on
-  /// first use: buffers the coordinator allocated back to back would share
-  /// cache lines, and every pixel writes them.
+  /// Full-model row buffer (exec::scan_row_full).  Sized by the worker's
+  /// own thread on first use: buffers the coordinator allocated back to
+  /// back would share cache lines, and every row writes them.
   std::vector<double> scratch;
   double truncation_bound = kNegInf;
 };
@@ -170,7 +170,6 @@ RasterTopK parallel_full_scan_top_k(const TiledArchive& archive, const RasterMod
                     [&](std::size_t y0, std::size_t y1, std::size_t slot) {
                       if (ctx.stopped()) return;
                       WorkerState& w = workers[slot];
-                      w.scratch.resize(archive.band_count());
                       exec::scan_rect_full(archive, model, 0, archive.width(), y0, y1, w.top,
                                            w.scratch, ctx, w.meter, w.tally);
                     });
@@ -238,7 +237,6 @@ RasterTopK parallel_tile_screened_top_k(const TiledArchive& archive, const Raste
   return parallel_screened_top_k(
       archive, model, model.ops_per_evaluation(), k, "parallel_tile_screened", "full_model_scan",
       ctx, meter, pool, [&](const TileSummary& tile, WorkerState& w, SharedThreshold&) {
-        w.scratch.resize(archive.band_count());
         exec::scan_rect_full(archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
                              tile.y0 + tile.height, w.top, w.scratch, ctx, w.meter, w.tally);
       });

@@ -70,9 +70,9 @@ struct EngineConfig {
   std::size_t cache_shards = 8;
   /// Shared-scan batching (engine/batch_exec.hpp): compatible raster /
   /// shard-scan jobs targeting the same archive admitted while a batch is
-  /// open execute as ONE shared tile scan — each tile decoded once, every
-  /// member model evaluated against it, per-member attribution and fault
-  /// envelopes intact, results byte-identical to solo runs.  1 (the
+  /// open execute as ONE shared tile scan — each tile row read once while
+  /// every member scores it, per-member attribution and fault envelopes
+  /// intact, results byte-identical to solo runs.  1 (the
   /// default) disables batching entirely; N > 1 caps the fan-in at N.
   std::size_t batch_max_fanin = 1;
   /// Once a dispatcher picks up an open batch, how long it keeps waiting for

@@ -614,7 +614,7 @@ ShardedTopK sharded_full_scan_top_k(const ShardedArchive& sharded, const RasterM
   return scatter_gather(
       sharded, "sharded_full_scan", k, model.ops_per_evaluation(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold&, QueryContext& ctx) {
-        std::vector<double> scratch(archive.band_count());
+        std::vector<double> scratch;  // scan_row_full's row buffer
         const std::uint64_t ops_before = run.meter.ops();
         for (std::size_t t : shard.tiles) {
           const TileSummary& tile = tiles[t];
@@ -745,7 +745,7 @@ ShardedTopK sharded_tile_screened_top_k(const ShardedArchive& sharded, const Ras
   return scatter_gather(
       sharded, "sharded_tile_screened", k, model.ops_per_evaluation(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold& shared, QueryContext& ctx) {
-        std::vector<double> scratch(archive.band_count());
+        std::vector<double> scratch;  // scan_row_full's row buffer
         screened_shard_scan(archive, model, shard, run, shared, ctx, shard_bound(shard),
                             [&](const TileSummary& tile, ShardRun& r) {
                               exec::scan_rect_full(archive, model, tile.x0,
@@ -837,7 +837,7 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
     } else {
       switch (mode) {
         case ShardScanMode::kFullScan: {
-          std::vector<double> scratch(archive.band_count());
+          std::vector<double> scratch;  // scan_row_full's row buffer
           const std::uint64_t ops_before = run.meter.ops();
           for (std::size_t t : shard.tiles) {
             const TileSummary& tile = tiles[t];
@@ -881,7 +881,7 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
           break;
         }
         case ShardScanMode::kTileScreened: {
-          std::vector<double> scratch(archive.band_count());
+          std::vector<double> scratch;  // scan_row_full's row buffer
           screened_shard_scan(archive, *model, shard, run, shared, ctx, shard_bound(),
                               [&](const TileSummary& tile, ShardRun& r) {
                                 exec::scan_rect_full(archive, *model, tile.x0,

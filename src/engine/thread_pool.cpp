@@ -36,7 +36,7 @@ void ThreadPool::submit(std::function<void()> task) {
     queues_[target]->tasks.push_back(std::move(task));
   }
   pending_.fetch_add(1, std::memory_order_release);
-  sleep_cv_.notify_one();
+  wake_one();
 }
 
 void ThreadPool::submit_urgent(std::function<void()> task) {
@@ -50,6 +50,16 @@ void ThreadPool::submit_urgent(std::function<void()> task) {
   }
   urgent_count_.fetch_add(1, std::memory_order_release);
   pending_.fetch_add(1, std::memory_order_release);
+  wake_one();
+}
+
+void ThreadPool::wake_one() {
+  {
+    // Empty critical section, as in the destructor: a worker that read
+    // pending_ == 0 under the lock is blocked in wait() before we get it, so
+    // the notify cannot fall between its check and its sleep.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+  }
   sleep_cv_.notify_one();
 }
 

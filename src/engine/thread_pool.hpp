@@ -78,6 +78,8 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t self);
+  /// Wakes one sleeping worker after pending_ was raised.
+  void wake_one();
   bool try_pop(std::size_t self, std::function<void()>& out);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;

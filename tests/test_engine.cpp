@@ -67,6 +67,25 @@ TEST(ThreadPool, DestructorDrainsSubmittedTasks) {
   EXPECT_EQ(ran.load(), 100);
 }
 
+TEST(ThreadPool, ASubmitRacingTheOnlyWorkerToSleepIsNeverLost) {
+  // Ping-pong one task at a time through a one-worker pool, so each submit
+  // races the worker going back to sleep.  A wakeup lost in that window
+  // leaves the task queued forever (seen under ThreadSanitizer, which widens
+  // it, as a hung fault-domain scatter-gather).  The window is narrow, so a
+  // regression fails this only now and then, most often under TSan.
+  ThreadPool pool(1);
+  for (int i = 0; i < 100000; ++i) {
+    std::promise<void> done;
+    std::future<void> ran = done.get_future();
+    pool.submit([&done] { done.set_value(); });
+    if (ran.wait_for(std::chrono::seconds(5)) == std::future_status::timeout) {
+      pool.submit([] {});  // wake the sleeper so the pool can shut down
+      ran.wait();
+      FAIL() << "wakeup lost at submit " << i;
+    }
+  }
+}
+
 TEST(ThreadPool, ConcurrentParallelForsShareOnePoolWithoutDeadlock) {
   // Caller participation guarantees progress even when every pool worker is
   // busy with the other caller's chunks.

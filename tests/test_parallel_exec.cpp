@@ -13,6 +13,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -406,39 +407,146 @@ TEST(ChargeLease, SeesAStopLatchedElsewhereOnTheNextRequest) {
   EXPECT_EQ(parent.spent(), 1u + 4000u);
 }
 
-TEST(ChargeLease, SerialFullScanTripsOnTheSameUnitAsPerChargeMode) {
-  // 30x30 pixels: the cost is no multiple of the slice, so budgets above it
-  // leave allowance for the lease to hand back.
-  const Workload w(30, 5);
-  const TiledArchive archive(w.bands, 8);
-  const std::uint64_t cost = archive.width() * archive.height() * w.raster_model.ops_per_evaluation();
-  std::vector<std::uint64_t> budgets;
-  for (std::uint64_t b = 0; b < cost; b += 61) budgets.push_back(b);
-  for (std::uint64_t b = cost - 40; b <= cost + 8; ++b) budgets.push_back(b);
-  for (const std::uint64_t budget : budgets) {
-    SCOPED_TRACE(budget);
-    QueryContext reference_ctx;
-    reference_ctx.with_op_budget(budget);
-    const RasterTopK reference = per_charge_full_scan(archive, w.raster_model, 10, reference_ctx);
-    QueryContext ctx;
-    ctx.with_op_budget(budget);
-    CostMeter meter;
-    const RasterTopK leased = full_scan_top_k(archive, w.raster_model, 10, ctx, meter);
-    EXPECT_EQ(leased.status, reference.status);
-    expect_same_hits(leased.hits, reference.hits);
-    EXPECT_EQ(leased.missed_bound, reference.missed_bound);
-    EXPECT_EQ(ctx.spent(), reference_ctx.spent());
-    // On the inline pool the tile-parallel scan is one worker too.
-    QueryContext inline_ctx;
-    inline_ctx.with_op_budget(budget);
-    ThreadPool inline_pool(0);
-    CostMeter inline_meter;
-    const RasterTopK inline_run =
-        parallel_full_scan_top_k(archive, w.raster_model, 10, inline_ctx, inline_meter, inline_pool);
-    EXPECT_EQ(inline_run.status, reference.status);
-    expect_same_hits(inline_run.hits, reference.hits);
-    EXPECT_EQ(inline_ctx.spent(), reference_ctx.spent());
+TEST(ChargeLease, TakeRunsSpendsExactlyTheRunHeldChargesWouldCover) {
+  // After one charge() draws a slice, take_runs(max_n, unit) must grant the
+  // number of successive charge(unit) calls the held allowance covers
+  // (capped at max_n), without touching the context.  The reference charges
+  // per request until one refills or is refused, which moves spent().
+  for (const std::uint64_t interval : {1UL, 7UL, 64UL, 1024UL}) {
+    for (const std::uint64_t unit : {0UL, 1UL, 3UL, 4UL, 9UL}) {
+      for (const std::size_t max_n : {0UL, 1UL, 5UL, 100UL, 5000UL}) {
+        for (const std::uint64_t budget : {5UL, 100UL, 1000UL, 1UL << 40}) {
+          SCOPED_TRACE(testing::Message() << "slice " << interval << " unit " << unit
+                                          << " max_n " << max_n << " budget " << budget);
+          QueryContext per_charge;
+          per_charge.with_op_budget(budget).with_check_interval(interval);
+          QueryContext bulk;
+          bulk.with_op_budget(budget).with_check_interval(interval);
+          ChargeLease reference(per_charge);
+          ChargeLease lease(bulk);
+          ASSERT_TRUE(reference.charge(1));
+          ASSERT_TRUE(lease.charge(1));
+          std::size_t covered = 0;
+          std::optional<bool> drew;  // the reference's first refill, if any
+          while (covered < max_n) {
+            const std::uint64_t before = per_charge.spent();
+            const bool granted = reference.charge(unit);
+            if (per_charge.spent() != before) {
+              drew = granted;
+              break;
+            }
+            ++covered;
+          }
+          const std::uint64_t spent_before = bulk.spent();
+          EXPECT_EQ(lease.take_runs(max_n, unit), covered);
+          EXPECT_EQ(bulk.spent(), spent_before);  // never draws
+          EXPECT_FALSE(bulk.stopped());           // never latches
+          // The request the run stopped short of goes through charge() and
+          // refills, or is refused, exactly as the reference's did.
+          if (drew.has_value()) {
+            EXPECT_EQ(lease.charge(unit), *drew);
+          }
+          EXPECT_EQ(bulk.spent(), per_charge.spent());
+          // Both leases now hold the same leftover: the next request is
+          // granted or refused alike, with the same books.
+          EXPECT_EQ(lease.charge(unit + 1), reference.charge(unit + 1));
+          lease.release();
+          reference.release();
+          EXPECT_EQ(bulk.spent(), per_charge.spent());
+        }
+      }
+    }
   }
+}
+
+TEST(ChargeLease, TakeRunsGrantsNothingOnceAStopLatchedElsewhere) {
+  QueryContext ctx;
+  ctx.with_op_budget(5000);
+  ChargeLease lease(ctx);
+  ASSERT_TRUE(lease.charge(1));  // holds the rest of a slice
+  ASSERT_GT(lease.take_runs(10, 4), 0u);
+  EXPECT_FALSE(ctx.charge(4000));  // a sibling's request trips the budget
+  EXPECT_EQ(lease.take_runs(10, 4), 0u);
+  EXPECT_EQ(lease.take_runs(10, 0), 0u);
+  lease.release();
+  EXPECT_EQ(ctx.spent(), 1u + 40u + 4000u);
+
+  QueryContext parent;
+  parent.with_op_budget(5000);
+  QueryContext child;
+  child.with_parent(&parent);
+  ChargeLease child_lease(child);
+  ASSERT_TRUE(child_lease.charge(1));
+  ASSERT_GT(child_lease.take_runs(10, 4), 0u);
+  EXPECT_FALSE(parent.charge(4000));
+  EXPECT_EQ(child_lease.take_runs(10, 4), 0u);
+  EXPECT_FALSE(child_lease.charge(4));  // and the fallback charge() latches it
+  EXPECT_EQ(child.stop_reason(), ResultStatus::kTruncatedBudget);
+  child_lease.release();
+  EXPECT_EQ(child.spent(), 1u + 40u);
+  EXPECT_EQ(parent.spent(), 1u + 40u + 4000u);
+}
+
+TEST(ChargeLease, SerialFullScanTripsOnTheSameUnitAsPerChargeMode) {
+  // Square archives of 4-op pixels.  30x30 costs 3600 ops and 81x81 costs
+  // 26244: neither is a multiple of either slice below (1024 or 64 ops), so
+  // budgets above the cost leave allowance for the lease to hand back at
+  // the end of a complete scan, and both end in a partial row of 8-pixel
+  // tiles.  The row kernel pays in runs of up to a slice (256 pixels at the
+  // default interval, 16 at the short one), so 81-pixel rows hold several
+  // runs and runs straddle rows.
+  std::size_t mid_row_trips = 0;
+  for (const std::size_t size : {30UL, 81UL}) {
+    const Workload w(size, 5);
+    const TiledArchive archive(w.bands, 8);
+    const std::uint64_t unit = w.raster_model.ops_per_evaluation();
+    const std::uint64_t width = archive.width();
+    const std::uint64_t cost = archive.width() * archive.height() * unit;
+    ASSERT_NE(cost % 64, 0u);
+    std::vector<std::uint64_t> budgets;
+    for (std::uint64_t b = 0; b < cost; b += 61) budgets.push_back(b);
+    for (std::uint64_t b = cost - 40; b <= cost + 8; ++b) budgets.push_back(b);
+    // Trips inside a run in the middle of a row: pixel p granted last, p not
+    // at a row start and not at a slice boundary, plus a ragged remainder.
+    for (const std::uint64_t row : {0UL, 3UL, 17UL, size - 2}) {
+      for (const std::uint64_t col : {1UL, 13UL, 21UL, size / 2 + 1, size - 1}) {
+        for (const std::uint64_t extra : {0UL, 1UL, 3UL}) {
+          budgets.push_back((row * width + col) * unit + extra);
+        }
+      }
+    }
+    for (const std::uint64_t interval : {1024UL, 64UL}) {
+      for (const std::uint64_t budget : budgets) {
+        SCOPED_TRACE(testing::Message()
+                     << "size " << size << " budget " << budget << " slice " << interval);
+        QueryContext reference_ctx;
+        reference_ctx.with_op_budget(budget).with_check_interval(interval);
+        const RasterTopK reference =
+            per_charge_full_scan(archive, w.raster_model, 10, reference_ctx);
+        QueryContext ctx;
+        ctx.with_op_budget(budget).with_check_interval(interval);
+        CostMeter meter;
+        const RasterTopK leased = full_scan_top_k(archive, w.raster_model, 10, ctx, meter);
+        EXPECT_EQ(leased.status, reference.status);
+        expect_same_hits(leased.hits, reference.hits);
+        EXPECT_EQ(leased.missed_bound, reference.missed_bound);
+        EXPECT_EQ(ctx.spent(), reference_ctx.spent());
+        EXPECT_EQ(meter.ops(), std::min(budget / unit * unit, cost));
+        if (is_truncated(leased.status) && (budget / unit) % width != 0) ++mid_row_trips;
+        // On the inline pool the tile-parallel scan is one worker too.
+        QueryContext inline_ctx;
+        inline_ctx.with_op_budget(budget).with_check_interval(interval);
+        ThreadPool inline_pool(0);
+        CostMeter inline_meter;
+        const RasterTopK inline_run = parallel_full_scan_top_k(
+            archive, w.raster_model, 10, inline_ctx, inline_meter, inline_pool);
+        EXPECT_EQ(inline_run.status, reference.status);
+        expect_same_hits(inline_run.hits, reference.hits);
+        EXPECT_EQ(inline_ctx.spent(), reference_ctx.spent());
+      }
+    }
+  }
+  EXPECT_GT(mid_row_trips, 100u);
 }
 
 TEST(ChargeLease, ChainedChildTripsAtTheParentsUnit) {

@@ -1,0 +1,431 @@
+// Independent score oracle for every full-model scan path.
+//
+// The reference here shares no code with the executors: it gathers each
+// pixel's bands straight from the grids, scores them with
+// LinearModel::evaluate (or a non-linear model's own evaluate), and sorts
+// the finite scores into the canonical (score desc, pixel rank asc) top-K.
+// The serial full scan, the tile-screened scan, the tile-parallel scans at
+// 1/2/4 threads, the sharded scans under both placement policies and the
+// batched members must all return exactly those hits with bit-identical
+// scores — on clean archives, NaN-poisoned ones and the exact-tie scenes of
+// tie_parity_scenarios().  A complete full scan must also bill exactly
+// pixels·bands points, pixels·N ops and pixels·bands·8 bytes.
+//
+// The second half covers the per-pixel path the row kernel keeps for
+// non-linear models (a product of two bands plus a linear tail), alone and
+// in a batch that mixes linear, non-linear and staged members, some of them
+// tripping their budgets.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "archive/sharded.hpp"
+#include "core/exec_kernels.hpp"
+#include "core/progressive_exec.hpp"
+#include "engine/batch_exec.hpp"
+#include "engine/parallel_exec.hpp"
+#include "engine/shard_exec.hpp"
+#include "engine/thread_pool.hpp"
+#include "linear/model.hpp"
+#include "linear/progressive.hpp"
+#include "testing/scenario_gen.hpp"
+#include "util/rng.hpp"
+
+namespace mmir {
+namespace {
+
+constexpr std::size_t kK = 12;
+
+/// Pool sizes giving 1 / 2 / 4 executing threads (pool workers + caller).
+const std::size_t kPoolWorkers[] = {0, 1, 3};
+
+/// An archive under test: generated bands, optionally poisoned, viewed by a
+/// TiledArchive of its own.
+struct OracleArchive {
+  std::string name;
+  std::vector<Grid> grids;
+  std::unique_ptr<TiledArchive> archive;
+
+  OracleArchive(std::string label, const ScenarioConfig& cfg, double nan_fraction)
+      : name(std::move(label)), grids(generate_scenario(cfg).grids) {
+    if (nan_fraction > 0.0) {
+      Rng rng(cfg.seed + 17);
+      for (std::size_t y = 0; y < cfg.height; ++y) {
+        for (std::size_t x = 0; x < cfg.width; ++x) {
+          if (rng.bernoulli(nan_fraction)) {
+            grids[rng.uniform_int(grids.size())].at(x, y) =
+                std::numeric_limits<double>::quiet_NaN();
+          }
+        }
+      }
+    }
+    std::vector<const Grid*> bands;
+    for (const Grid& g : grids) bands.push_back(&g);
+    archive = std::make_unique<TiledArchive>(std::move(bands), cfg.tile_size);
+  }
+
+  [[nodiscard]] const TiledArchive& tiled() const { return *archive; }
+};
+
+ScenarioConfig scenario(ScenarioKind kind, std::size_t width, std::size_t height,
+                        std::size_t tile, std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.kind = kind;
+  cfg.width = width;
+  cfg.height = height;
+  cfg.tile_size = tile;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// Clean, NaN-poisoned and exact-tie archives; widths are no multiple of
+/// the tile size so edge tiles are narrower than the rest.
+const std::vector<std::unique_ptr<OracleArchive>>& archives() {
+  static const auto pool = [] {
+    std::vector<std::unique_ptr<OracleArchive>> p;
+    p.push_back(std::make_unique<OracleArchive>(
+        "dense", scenario(ScenarioKind::kDense, 70, 45, 16, 811), 0.0));
+    p.push_back(std::make_unique<OracleArchive>(
+        "sparse", scenario(ScenarioKind::kSparse, 52, 40, 8, 812), 0.0));
+    p.push_back(std::make_unique<OracleArchive>(
+        "dense_nan", scenario(ScenarioKind::kDense, 66, 38, 16, 813), 0.03));
+    p.push_back(std::make_unique<OracleArchive>(
+        "all_nan_band", scenario(ScenarioKind::kAllNaNBand, 40, 24, 8, 814), 0.0));
+    for (const ScenarioConfig& cfg : tie_parity_scenarios()) {
+      p.push_back(std::make_unique<OracleArchive>(
+          std::string("tie_") + scenario_name(cfg.kind) + "_" + std::to_string(cfg.seed), cfg,
+          0.0));
+    }
+    return p;
+  }();
+  return pool;
+}
+
+/// Integer weights and a quarter-integer bias keep tie scenes tying exactly;
+/// real-valued weights exercise rounding.
+LinearModel make_model(std::uint64_t seed, std::size_t bands, bool integer) {
+  Rng rng(seed);
+  std::vector<double> weights(bands);
+  std::vector<std::string> names(bands);
+  for (std::size_t b = 0; b < bands; ++b) {
+    names[b] = "band" + std::to_string(b);
+    weights[b] = integer ? static_cast<double>(rng.uniform_int(5)) - 2.0 : rng.uniform(-1.5, 1.5);
+  }
+  const double bias = integer ? 0.25 * static_cast<double>(rng.uniform_int(9)) : rng.normal();
+  return LinearModel(std::move(weights), bias, std::move(names));
+}
+
+/// Non-linear: b0·b1 plus the linear model over the remaining bands.  Its
+/// bound multiplies the two band intervals corner by corner.
+class ProductModel final : public RasterModel {
+ public:
+  explicit ProductModel(LinearModel tail) : tail_(std::move(tail)) {}
+
+  [[nodiscard]] std::size_t bands() const override { return tail_.dim(); }
+  [[nodiscard]] double evaluate(std::span<const double> pixel) const override {
+    double sum = pixel[0] * pixel[1];
+    for (std::size_t b = 2; b < pixel.size(); ++b) sum += tail_.weight(b) * pixel[b];
+    return sum;
+  }
+  [[nodiscard]] Interval bound(std::span<const Interval> ranges) const override {
+    const Interval a = ranges[0];
+    const Interval b = ranges[1];
+    const double c[] = {a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi};
+    Interval sum{*std::min_element(std::begin(c), std::end(c)),
+                 *std::max_element(std::begin(c), std::end(c))};
+    for (std::size_t i = 2; i < ranges.size(); ++i) sum = sum + tail_.weight(i) * ranges[i];
+    return sum;
+  }
+  [[nodiscard]] std::size_t ops_per_evaluation() const override { return tail_.dim(); }
+
+ private:
+  LinearModel tail_;
+};
+
+struct Scored {
+  double score;
+  std::uint64_t rank;
+  std::size_t x;
+  std::size_t y;
+};
+
+/// The hand-rolled reference: every pixel gathered from the grids and
+/// scored by `score_fn`, finite scores sorted canonically, first K kept.
+template <typename ScoreFn>
+std::vector<RasterHit> oracle_top_k(const TiledArchive& archive, std::size_t k,
+                                    ScoreFn&& score_fn) {
+  std::vector<Scored> all;
+  std::vector<double> pixel(archive.band_count());
+  for (std::size_t y = 0; y < archive.height(); ++y) {
+    for (std::size_t x = 0; x < archive.width(); ++x) {
+      for (std::size_t b = 0; b < pixel.size(); ++b) pixel[b] = archive.band(b).at(x, y);
+      const double score = score_fn(pixel);
+      if (std::isfinite(score)) all.push_back({score, (std::uint64_t{y} << 32) | x, x, y});
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const Scored& a, const Scored& b) {
+    return a.score != b.score ? a.score > b.score : a.rank < b.rank;
+  });
+  std::vector<RasterHit> out;
+  for (std::size_t i = 0; i < std::min(k, all.size()); ++i) {
+    out.push_back(RasterHit{all[i].x, all[i].y, all[i].score});
+  }
+  return out;
+}
+
+void expect_oracle_hits(const std::vector<RasterHit>& expected,
+                        const std::vector<RasterHit>& got) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].x, expected[i].x) << "rank " << i;
+    EXPECT_EQ(got[i].y, expected[i].y) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].score),
+              std::bit_cast<std::uint64_t>(expected[i].score))
+        << "rank " << i << ": " << got[i].score << " vs " << expected[i].score;
+  }
+}
+
+/// A truncated answer's certified prefix is a prefix of the exact answer.
+void expect_sound_prefix(const std::vector<RasterHit>& exact, const RasterTopK& got) {
+  const std::size_t prefix = got.certified_prefix();
+  ASSERT_LE(prefix, exact.size());
+  expect_oracle_hits(std::vector<RasterHit>(exact.begin(), exact.begin() + prefix),
+                     std::vector<RasterHit>(got.hits.begin(), got.hits.begin() + prefix));
+}
+
+/// A complete full scan bills every pixel once, in full.
+void expect_full_bill(const TiledArchive& archive, const RasterModel& model,
+                      const CostMeter& meter) {
+  const std::uint64_t pixels = archive.pixel_count();
+  const std::uint64_t bands = archive.band_count();
+  EXPECT_EQ(meter.points(), pixels * bands);
+  EXPECT_EQ(meter.ops(), pixels * model.ops_per_evaluation());
+  EXPECT_EQ(meter.bytes(), pixels * bands * sizeof(double));
+}
+
+/// Runs `model` through every full-model path and checks each answer
+/// against `expected` (and each complete full scan's bill).
+void check_every_path(const TiledArchive& archive, const RasterModel& model,
+                      const std::vector<RasterHit>& expected) {
+  const ResultStatus clean = exec::completion_status(archive, 0);
+  {
+    SCOPED_TRACE("serial full scan");
+    QueryContext ctx;
+    CostMeter meter;
+    const RasterTopK out = full_scan_top_k(archive, model, kK, ctx, meter);
+    EXPECT_EQ(out.status, out.bad_points > 0 ? ResultStatus::kDegraded : clean);
+    expect_oracle_hits(expected, out.hits);
+    expect_full_bill(archive, model, meter);
+  }
+  {
+    SCOPED_TRACE("serial tile-screened");
+    QueryContext ctx;
+    CostMeter meter;
+    const RasterTopK out = tile_screened_top_k(archive, model, kK, ctx, meter);
+    EXPECT_FALSE(is_truncated(out.status));
+    expect_oracle_hits(expected, out.hits);
+  }
+  for (const std::size_t workers : kPoolWorkers) {
+    ThreadPool pool(workers);
+    SCOPED_TRACE(testing::Message() << "threads " << pool.slot_count());
+    {
+      QueryContext ctx;
+      CostMeter meter;
+      const RasterTopK out = parallel_full_scan_top_k(archive, model, kK, ctx, meter, pool);
+      EXPECT_FALSE(is_truncated(out.status));
+      expect_oracle_hits(expected, out.hits);
+      expect_full_bill(archive, model, meter);
+    }
+    {
+      QueryContext ctx;
+      CostMeter meter;
+      const RasterTopK out = parallel_tile_screened_top_k(archive, model, kK, ctx, meter, pool);
+      EXPECT_FALSE(is_truncated(out.status));
+      expect_oracle_hits(expected, out.hits);
+    }
+  }
+  ThreadPool pool(3);
+  for (const ShardPolicy policy : {ShardPolicy::kRowBands, ShardPolicy::kTileHash}) {
+    const ShardedArchive sharded(archive, 3, policy);
+    SCOPED_TRACE(testing::Message() << "sharded " << shard_policy_name(policy));
+    {
+      QueryContext ctx;
+      CostMeter meter;
+      const RasterTopK out =
+          sharded_full_scan_top_k(sharded, model, kK, ctx, meter, pool).merged;
+      EXPECT_FALSE(is_truncated(out.status));
+      expect_oracle_hits(expected, out.hits);
+      expect_full_bill(archive, model, meter);
+    }
+    {
+      QueryContext ctx;
+      CostMeter meter;
+      const RasterTopK out =
+          sharded_tile_screened_top_k(sharded, model, kK, ctx, meter, pool).merged;
+      EXPECT_FALSE(is_truncated(out.status));
+      expect_oracle_hits(expected, out.hits);
+    }
+  }
+  {
+    SCOPED_TRACE("batched");
+    std::deque<QueryContext> ctxs(2);
+    std::deque<CostMeter> meters(2);
+    std::vector<BatchMemberSpec> specs(2);
+    for (std::size_t i = 0; i < 2; ++i) {
+      specs[i].mode = i == 0 ? BatchScanMode::kFullScan : BatchScanMode::kTileScreened;
+      specs[i].model = &model;
+      specs[i].k = kK;
+      specs[i].ctx = &ctxs[i];
+      specs[i].meter = &meters[i];
+    }
+    const auto results = batch_scan(archive, specs);
+    for (const BatchMemberResult& r : results) {
+      EXPECT_FALSE(is_truncated(r.result.status));
+      expect_oracle_hits(expected, r.result.hits);
+    }
+    expect_full_bill(archive, model, meters[0]);
+  }
+}
+
+TEST(ScanOracle, LinearFullScansMatchTheHandRolledReferenceOnEveryPath) {
+  std::uint64_t seed = 1;
+  for (const auto& entry : archives()) {
+    const TiledArchive& archive = entry->tiled();
+    for (const bool integer : {false, true}) {
+      const LinearModel linear = make_model(seed++, archive.band_count(), integer);
+      SCOPED_TRACE(testing::Message() << entry->name << " integer weights " << integer);
+      const LinearRasterModel model(linear);
+      const auto expected = oracle_top_k(
+          archive, kK, [&](std::span<const double> pixel) { return linear.evaluate(pixel); });
+      check_every_path(archive, model, expected);
+    }
+  }
+}
+
+TEST(ScanOracle, NonLinearFullScansMatchTheHandRolledReferenceOnEveryPath) {
+  std::uint64_t seed = 100;
+  for (const auto& entry : archives()) {
+    const TiledArchive& archive = entry->tiled();
+    SCOPED_TRACE(entry->name);
+    const ProductModel model(make_model(seed++, archive.band_count(), true));
+    const auto expected = oracle_top_k(
+        archive, kK, [&](std::span<const double> pixel) { return model.evaluate(pixel); });
+    check_every_path(archive, model, expected);
+  }
+}
+
+TEST(ScanOracle, MixedBatchWithTrippingMembersMatchesSoloRuns) {
+  // Linear, non-linear and staged members in one batch, full-scan and
+  // screened, budgets from zero to unbounded.  A complete member returns
+  // the reference answer; a tripped one certifies a prefix of it; a
+  // full-model member trips exactly where its solo serial scan does.
+  const TiledArchive& archive = archives()[0]->tiled();
+  const std::size_t bands = archive.band_count();
+  const LinearModel linear = make_model(301, bands, false);
+  const LinearRasterModel linear_model(linear);
+  const ProductModel product(make_model(302, bands, false));
+  std::vector<Interval> ranges(archive.band_ranges().begin(), archive.band_ranges().end());
+  const ProgressiveLinearModel staged(make_model(303, bands, false), ranges);
+  const std::uint64_t full_cost = archive.pixel_count() * bands;
+
+  enum class Kind { kLinear, kProduct, kStaged, kLinearScreened, kProductScreened };
+  const Kind kinds[] = {Kind::kLinear, Kind::kProduct, Kind::kStaged, Kind::kLinearScreened,
+                        Kind::kProductScreened};
+  const std::uint64_t budgets[] = {0,
+                                   3,
+                                   full_cost / 9 + 1,
+                                   full_cost / 3 + 2,
+                                   full_cost / 2 + 3,
+                                   full_cost - 1,
+                                   std::numeric_limits<std::uint64_t>::max()};
+  for (std::size_t round = 0; round < 6; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    const std::size_t members = std::size(kinds) * 2;
+    std::deque<QueryContext> ctxs(members);
+    std::deque<CostMeter> meters(members);
+    std::vector<BatchMemberSpec> specs(members);
+    std::vector<std::uint64_t> member_budget(members);
+    for (std::size_t i = 0; i < members; ++i) {
+      const Kind kind = kinds[i % std::size(kinds)];
+      member_budget[i] = budgets[(i * 5 + round * 3) % std::size(budgets)];
+      ctxs[i].with_op_budget(member_budget[i]).with_check_interval(i % 2 == 0 ? 1024 : 96);
+      BatchMemberSpec& spec = specs[i];
+      spec.k = 7 + i % 5;
+      spec.ctx = &ctxs[i];
+      spec.meter = &meters[i];
+      switch (kind) {
+        case Kind::kLinear:
+          spec.mode = BatchScanMode::kFullScan;
+          spec.model = &linear_model;
+          break;
+        case Kind::kProduct:
+          spec.mode = BatchScanMode::kFullScan;
+          spec.model = &product;
+          break;
+        case Kind::kStaged:
+          spec.mode = BatchScanMode::kProgressiveModel;
+          spec.progressive = &staged;
+          break;
+        case Kind::kLinearScreened:
+          spec.mode = BatchScanMode::kTileScreened;
+          spec.model = &linear_model;
+          break;
+        case Kind::kProductScreened:
+          spec.mode = BatchScanMode::kTileScreened;
+          spec.model = &product;
+          break;
+      }
+    }
+    const auto results = batch_scan(archive, specs);
+    std::size_t tripped = 0;
+    for (std::size_t i = 0; i < members; ++i) {
+      SCOPED_TRACE(testing::Message() << "member " << i << " budget " << member_budget[i]);
+      const BatchMemberSpec& spec = specs[i];
+      const RasterTopK& got = results[i].result;
+      const auto exact = spec.progressive != nullptr
+                             ? oracle_top_k(archive, spec.k,
+                                            [&](std::span<const double> pixel) {
+                                              return staged.model().evaluate(pixel);
+                                            })
+                             : oracle_top_k(archive, spec.k, [&](std::span<const double> pixel) {
+                                 return spec.model->evaluate(pixel);
+                               });
+      if (is_truncated(got.status)) {
+        ++tripped;
+        EXPECT_EQ(got.status, ResultStatus::kTruncatedBudget);
+        EXPECT_LE(meters[i].ops(), member_budget[i]);
+        expect_sound_prefix(exact, got);
+      } else {
+        expect_oracle_hits(exact, got.hits);
+      }
+      if (spec.mode != BatchScanMode::kFullScan) continue;
+      // A full-model member trips on the unit its solo scan trips on: same
+      // status, missed bound, bill and books.  (Which pixels it saw first
+      // differs — the batch walks tiles, the solo scan whole rows.)
+      QueryContext solo_ctx;
+      solo_ctx.with_op_budget(member_budget[i]).with_check_interval(i % 2 == 0 ? 1024 : 96);
+      CostMeter solo_meter;
+      const RasterTopK solo = full_scan_top_k(archive, *spec.model, spec.k, solo_ctx, solo_meter);
+      EXPECT_EQ(got.status, solo.status);
+      EXPECT_EQ(got.missed_bound, solo.missed_bound);
+      EXPECT_EQ(meters[i].ops(), solo_meter.ops());
+      EXPECT_EQ(meters[i].points(), solo_meter.points());
+      EXPECT_EQ(meters[i].bytes(), solo_meter.bytes());
+      EXPECT_EQ(ctxs[i].spent(), solo_ctx.spent());
+    }
+    EXPECT_GT(tripped, 0u);
+    EXPECT_LT(tripped, members);
+  }
+}
+
+}  // namespace
+}  // namespace mmir
