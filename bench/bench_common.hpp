@@ -7,9 +7,11 @@
 // CostMeter) so the tables reproduce the paper's shape on any host;
 // wall-clock columns are for reference only.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "obs/clock.hpp"
 #include "util/cost.hpp"
@@ -32,6 +34,12 @@ inline std::chrono::nanoseconds timed_ns(Fn&& fn) {
 
 inline double to_ms(std::chrono::nanoseconds ns) {
   return static_cast<double>(ns.count()) / 1e6;
+}
+
+/// Median of `samples` (sorts them in place; upper median for an even count).
+inline double median(std::vector<double>& samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
 }
 
 inline void heading(const std::string& experiment, const std::string& claim) {

@@ -83,11 +83,6 @@ std::vector<RasterHit> seed_combined_top_k(const TiledArchive& archive,
   return out;
 }
 
-double median_ms(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
 void run_overhead_table() {
   heading("D1: QueryContext overhead on progressive_combined_top_k",
           "unbounded-context executor within ~3% of a context-free replica");
@@ -144,8 +139,8 @@ void run_overhead_table() {
                          batch);
       }
       if (sink == 0) std::printf("unexpected empty results\n");
-      const double base = median_ms(base_ms);
-      const double with_ctx = median_ms(ctx_ms);
+      const double base = median(base_ms);
+      const double with_ctx = median(ctx_ms);
       std::printf("%6zu %6zu | %12.3f %12.3f | %+8.2f%%\n", tile, k, base, with_ctx,
                   100.0 * (with_ctx - base) / base);
     }

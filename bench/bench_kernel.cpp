@@ -1,24 +1,33 @@
 // L0 — the full-model scan kernel on its own (google-benchmark).
 //
-// Times exec::scan_rect_full over a whole 512×512 scene of 4 bands, k = 10,
-// and reports
+// Times exec::scan_rect_full over a 512×512 scene of 4 bands, k = 10, and
+// reports
 //
 //   * time_per_px — wall time per scored pixel (ns/pixel);
 //   * bytes_per_second — band-plane bytes scanned per second (pixels ·
 //     bands · 8), i.e. the GB/s the kernel pulls from the planes.
 //
 // Two model paths: `linear` is the HPS-shaped LinearRasterModel the row
-// kernel scores plane by plane; `per_pixel` is the same linear arithmetic
-// behind an opaque RasterModel, which takes the per-pixel gather + virtual
-// evaluate path every non-linear model uses.  Each runs under an unbounded
-// context and under a budgeted one (an op budget of exactly the scan's
-// cost, so the lease's last draws are headroom-limited and the scan still
-// completes).
+// kernel scores in its fused pass; `per_pixel` is the same linear
+// arithmetic behind an opaque RasterModel, which takes the per-pixel
+// gather + virtual evaluate path every non-linear model uses.  Each runs
+// whole rows under an unbounded context and under a budgeted one (an op
+// budget of exactly the scan's cost, so the lease's last draws are
+// headroom-limited and the scan still completes).
+//
+// `BM_ScanLinear_Runs` times the linear path at the run shapes the other
+// executors hand the kernel: `run:32` scans the scene tile by tile (32×32,
+// one scan_rect_full and one lease per tile, as the tile-screened and
+// batched paths do), `run:512` whole rows; `nan:1` poisons one band of 1%
+// of the pixels, so the blocks holding them take the per-pixel offer loop.
 //
 //   ./build/bench/bench_kernel [--benchmark_repetitions=5 ...]
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,6 +37,7 @@
 #include "linear/model.hpp"
 #include "testing/scenario_gen.hpp"
 #include "util/cost.hpp"
+#include "util/rng.hpp"
 #include "util/topk.hpp"
 
 namespace {
@@ -52,6 +62,30 @@ const GeneratedArchive& scene() {
   return archive;
 }
 
+/// scene() with one band of 1% of its pixels set to NaN.
+const TiledArchive& nan_scene() {
+  struct Poisoned {
+    std::vector<Grid> grids;
+    std::unique_ptr<TiledArchive> archive;
+  };
+  static const Poisoned poisoned = [] {
+    Poisoned p{scene().grids, nullptr};
+    Rng rng(513);
+    for (std::size_t y = 0; y < kSide; ++y) {
+      for (std::size_t x = 0; x < kSide; ++x) {
+        if (rng.bernoulli(0.01)) {
+          p.grids[rng.uniform_int(kBands)].at(x, y) = std::numeric_limits<double>::quiet_NaN();
+        }
+      }
+    }
+    std::vector<const Grid*> bands;
+    for (const Grid& g : p.grids) bands.push_back(&g);
+    p.archive = std::make_unique<TiledArchive>(std::move(bands), scene().config.tile_size);
+    return p;
+  }();
+  return *poisoned.archive;
+}
+
 LinearModel kernel_model() {
   return LinearModel({0.443, 0.222, 0.153, 0.183}, 0.5, {"b0", "b1", "b2", "b3"});
 }
@@ -74,10 +108,13 @@ class OpaqueLinearModel final : public RasterModel {
   LinearModel model_;
 };
 
-void scan_whole_scene(benchmark::State& state, const RasterModel& model, bool budgeted) {
-  const TiledArchive& archive = scene().tiled();
+/// Scans the whole of `archive` in `run`-wide square tiles, row-major (a
+/// run as wide as the scene scans whole rows in one call).
+void scan_scene(benchmark::State& state, const TiledArchive& archive, const RasterModel& model,
+                bool budgeted, std::size_t run) {
   const std::uint64_t pixels = archive.pixel_count();
   const std::uint64_t cost = pixels * model.ops_per_evaluation();
+  const std::size_t tile_h = run < archive.width() ? run : archive.height();
   std::vector<double> row;
   for (auto _ : state) {
     QueryContext ctx;
@@ -85,8 +122,13 @@ void scan_whole_scene(benchmark::State& state, const RasterModel& model, bool bu
     CostMeter meter;
     exec::ScanTally tally;
     TopK<RasterHit> top(kTopK);
-    exec::scan_rect_full(archive, model, 0, archive.width(), 0, archive.height(), top, row, ctx,
-                         meter, tally);
+    for (std::size_t y0 = 0; y0 < archive.height(); y0 += tile_h) {
+      for (std::size_t x0 = 0; x0 < archive.width(); x0 += run) {
+        exec::scan_rect_full(archive, model, x0, std::min(x0 + run, archive.width()), y0,
+                             std::min(y0 + tile_h, archive.height()), top, row, ctx, meter,
+                             tally);
+      }
+    }
     if (ctx.stopped() || tally.pixels != pixels) state.SkipWithError("scan did not complete");
     benchmark::DoNotOptimize(top.threshold());
   }
@@ -100,12 +142,18 @@ void scan_whole_scene(benchmark::State& state, const RasterModel& model, bool bu
 
 void BM_ScanRectFull_Linear(benchmark::State& state) {
   const LinearRasterModel model(kernel_model());
-  scan_whole_scene(state, model, state.range(0) != 0);
+  scan_scene(state, scene().tiled(), model, state.range(0) != 0, kSide);
 }
 
 void BM_ScanRectFull_PerPixel(benchmark::State& state) {
   const OpaqueLinearModel model(kernel_model());
-  scan_whole_scene(state, model, state.range(0) != 0);
+  scan_scene(state, scene().tiled(), model, state.range(0) != 0, kSide);
+}
+
+void BM_ScanLinear_Runs(benchmark::State& state) {
+  const LinearRasterModel model(kernel_model());
+  const TiledArchive& archive = state.range(1) != 0 ? nan_scene() : scene().tiled();
+  scan_scene(state, archive, model, false, static_cast<std::size_t>(state.range(0)));
 }
 
 BENCHMARK(BM_ScanRectFull_Linear)
@@ -117,6 +165,10 @@ BENCHMARK(BM_ScanRectFull_PerPixel)
     ->ArgName("budgeted")
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanLinear_Runs)
+    ->ArgNames({"run", "nan"})
+    ->ArgsProduct({{32, kSide}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -47,7 +47,9 @@ hardware_concurrency below 4 report it without gating.
 
 Both files must carry the same schema_version (stamped by bench_engine along
 with git_commit and build_flags); mismatched schemas exit 2 rather than
-producing a bogus comparison.  A missing *baseline* file is not an error —
+producing a bogus comparison.  So do mismatched hardware_concurrency or
+build_flags stamps (both values are printed): a diff across hosts or
+builds would gate on the difference between machines, not between commits.  A missing *baseline* file is not an error —
 the first run on a fresh branch has nothing to diff against, so the script
 warns and exits 0 (a missing candidate still fails: that means the bench
 itself did not run).  Throughput improvements never fail the gate.
@@ -62,6 +64,11 @@ import argparse
 import json
 import statistics
 import sys
+
+# Stamps that must match for two runs to be diffed: timings from a host with
+# a different thread count, or from a build with different flags, measure
+# something else.
+HOST_FINGERPRINT = ("hardware_concurrency", "build_flags")
 
 
 def load(path: str) -> dict:
@@ -260,6 +267,15 @@ def main() -> int:
             file=sys.stderr,
         )
         return 2
+    for key in HOST_FINGERPRINT:
+        if base.get(key) != cand.get(key):
+            print(
+                f"{key} mismatch: baseline={base.get(key)!r} candidate={cand.get(key)!r}; "
+                "runs from different hosts or builds are not comparable — re-run the "
+                "baseline on the candidate's host and build",
+                file=sys.stderr,
+            )
+            return 2
 
     for label, doc in (("baseline", base), ("candidate", cand)):
         print(

@@ -12,11 +12,17 @@
 //
 // Every full-model scan — serial, tile-screened, tile-parallel, sharded,
 // remote shard and batched — runs one row kernel, scan_row_full.  For a
-// linear model it scores a run of pixels plane by plane into the caller's
-// row buffer (bias, then each band's weighted run in band order, so scores
-// are bit-identical to LinearModel::evaluate), filters the run against the
-// heap threshold and offers the survivors; any other model is evaluated
-// per pixel.  It pays for a run with one ChargeLease::take_runs and bills
+// linear model it scores a run of pixels in one fused pass per group of up
+// to four bands (offer_linear_run): each score is summed in registers as
+// ((bias + w0·p0) + w1·p1) + … in band order, so it is bit-identical to
+// LinearModel::evaluate, and screened in the same pass, block by block,
+// against the heap threshold read at the block's start.  A block whose
+// scores all satisfy `s < threshold && s > -inf` is done without a
+// per-pixel branch; only a flagged block — a NaN, an infinity (counted as a
+// bad point, -inf included) or a score that could enter the heap — goes
+// through the per-pixel isfinite / offer_ranked loop (offer_scores).  Any
+// other model is evaluated per pixel and offered through that same loop.
+// It pays for a run with one ChargeLease::take_runs and bills
 // the meter once per run (n·bands points, n·bands·8 bytes, n·N ops), so
 // complete-scan totals are the per-pixel ones exactly and a single worker
 // trips on exactly the per-pixel unit.  One consequence: a stop latched by
@@ -45,6 +51,7 @@
 // pruning, never soundness).
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -170,19 +177,123 @@ inline const LinearModel* linear_model_of(const RasterModel& model) noexcept {
   return linear != nullptr ? &linear->linear() : nullptr;
 }
 
-/// Scores the `n` pixels of row y starting at column x with a linear model
-/// into out[0..n): every slot starts at the bias, then each band plane adds
-/// its weighted run, in band index order — per pixel exactly the sum
-/// LinearModel::evaluate forms, so the scores are bit-identical to it.
-inline void score_linear_run(const TiledArchive& archive, const LinearModel& model,
-                             std::size_t x, std::size_t y, std::size_t n, double* out) {
-  std::fill_n(out, n, model.bias());
+/// Offers the scores of pixels [x, x+n) of row y, scores[0..n), to `top`:
+/// every finite score that reaches the heap's threshold is offered under its
+/// pixel_rank.  Returns how many scores were non-finite (bad points).
+inline std::uint64_t offer_scores(const double* scores, std::size_t n, std::size_t x,
+                                  std::size_t y, TopK<RasterHit>& top) {
+  std::uint64_t bad = 0;
+  double threshold = top.threshold();  // moves only when an offer lands
+  for (std::size_t i = 0; i < n; ++i) {
+    const double score = scores[i];
+    if (!std::isfinite(score)) {
+      ++bad;
+      continue;
+    }
+    // >= rather than >: a score tying the threshold can still displace a
+    // worse-ranked incumbent under the canonical (score, rank) order.
+    if (score >= threshold &&
+        top.offer_ranked(score, pixel_rank(x + i, y), RasterHit{x + i, y, score})) {
+      threshold = top.threshold();
+    }
+  }
+  return bad;
+}
+
+/// Bands the fused linear pass sums per pass over a run: a group's weights
+/// and plane pointers stay in registers.
+inline constexpr std::size_t kBandGroup = 4;
+
+/// Pixels per screened block of the fused linear pass: the heap threshold is
+/// read once per block, and only a block holding a flagged score goes
+/// through offer_scores.
+inline constexpr std::size_t kScreenBlock = 16;
+
+/// One group of up to kBandGroup bands of a linear model over a run: each
+/// band's samples from the run's first pixel on, and its weight.
+template <std::size_t G>
+struct BandGroup {
+  std::array<const double*, G> plane{};
+  std::array<double, G> weight{};
+
+  /// Bands [first, first+G) of `model` over the run starting at flat offset
+  /// `offset` of every band plane.
+  BandGroup(const TiledArchive& archive, const LinearModel& model, std::size_t first,
+            std::size_t offset) {
+    for (std::size_t g = 0; g < G; ++g) {
+      plane[g] = archive.band(first + g).flat().data() + offset;
+      weight[g] = model.weight(first + g);
+    }
+  }
+
+  /// One fused pass over run pixels [i0, i0+m): the i-th sum starts at
+  /// `bias` (when `in` is null) or at in[i], adds the group's weighted
+  /// samples in band order and lands in out[i].  Returns true when some sum
+  /// fails the screen `s < threshold && s > -inf`: it is NaN, infinite, or
+  /// could enter the heap.
+  bool add(std::size_t i0, std::size_t m, const double* in, double bias, double threshold,
+           double* out) const {
+    // The flag is a double select rather than an OR of comparison bits: the
+    // select is the form that still vectorises alongside the sums.
+    double flag = 0.0;
+    if (in == nullptr) {
+      for (std::size_t i = 0; i < m; ++i) {
+        double s = bias;
+        for (std::size_t g = 0; g < G; ++g) s += weight[g] * plane[g][i0 + i];
+        out[i] = s;
+        flag = (s < threshold) & (s > kNegInf) ? flag : 1.0;
+      }
+    } else {
+      for (std::size_t i = 0; i < m; ++i) {
+        double s = in[i];
+        for (std::size_t g = 0; g < G; ++g) s += weight[g] * plane[g][i0 + i];
+        out[i] = s;
+        flag = (s < threshold) & (s > kNegInf) ? flag : 1.0;
+      }
+    }
+    return flag != 0.0;
+  }
+};
+
+/// Scores pixels [x, x+n) of row y with a linear model and offers them, in
+/// one fused pass per group of up to kBandGroup bands.  Each score is
+/// summed as ((bias + w0·p0) + w1·p1) + … in band index order — exactly the
+/// sum LinearModel::evaluate forms, so scores are bit-identical to it.
+/// Groups before the last sum into `sums` (n slots, touched only when the
+/// model has more than kBandGroup bands); the last group finishes each
+/// kScreenBlock-pixel block's scores in registers and screens them in the
+/// same pass against the heap threshold read at the block's start.  A
+/// block whose scores all pass `s < threshold && s > -inf` holds no bad
+/// point and nothing the heap could take, so it is done; a flagged block
+/// (NaN, ±inf, or a score reaching the threshold) goes through
+/// offer_scores.  Returns the run's bad-point count.
+inline std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& model,
+                                      std::size_t x, std::size_t y, std::size_t n,
+                                      TopK<RasterHit>& top, double* sums) {
+  const std::size_t bands = model.dim();
   const std::size_t offset = y * archive.width() + x;
-  const std::span<const double> weights = model.weights();
-  for (std::size_t b = 0; b < weights.size(); ++b) {
-    const double w = weights[b];
-    const double* plane = archive.band(b).flat().data() + offset;
-    for (std::size_t i = 0; i < n; ++i) out[i] += w * plane[i];
+  const double bias = model.bias();
+  const std::size_t last = (bands - 1) / kBandGroup * kBandGroup;  // first band of the last group
+  for (std::size_t g0 = 0; g0 < last; g0 += kBandGroup) {
+    BandGroup<kBandGroup>(archive, model, g0, offset)
+        .add(0, n, g0 == 0 ? nullptr : sums, bias, kNegInf, sums);
+  }
+  const auto finish = [&](const auto& group) {
+    std::uint64_t bad = 0;
+    double block[kScreenBlock];
+    for (std::size_t i0 = 0; i0 < n; i0 += kScreenBlock) {
+      const std::size_t m = std::min(kScreenBlock, n - i0);
+      if (group.add(i0, m, last == 0 ? nullptr : sums + i0, bias, top.threshold(), block)) {
+        bad += offer_scores(block, m, x + i0, y, top);
+      }
+    }
+    return bad;
+  };
+  switch (bands - last) {
+    case 1: return finish(BandGroup<1>(archive, model, last, offset));
+    case 2: return finish(BandGroup<2>(archive, model, last, offset));
+    case 3: return finish(BandGroup<3>(archive, model, last, offset));
+    default: return finish(BandGroup<kBandGroup>(archive, model, last, offset));
   }
 }
 
@@ -197,11 +308,13 @@ inline void score_linear_run(const TiledArchive& archive, const LinearModel& mod
 /// per run: n·bands points, n·bands·8 bytes, n·N ops.
 ///
 /// `linear` is linear_model_of(model), looked up once per scan by the
-/// caller: a linear model is scored plane-wise by score_linear_run, any
-/// other model (null) goes through full_pixel per pixel.  `scratch` is the
-/// caller's row buffer, grown here to the run width plus one pixel's bands
-/// and never shrunk.  Returns false once a charge is refused (the context
-/// is then stopped), true when the row is done.
+/// caller: a linear model is scored and screened by offer_linear_run's
+/// fused pass, any other model (null) goes through full_pixel per pixel and
+/// offer_scores.  `scratch` is the caller's row buffer, grown here to the
+/// run width plus one pixel's bands and never shrunk: the per-pixel path's
+/// scores and gathered pixel, and the partial sums of a linear model with
+/// more than kBandGroup bands.  Returns false once a charge is refused (the
+/// context is then stopped), true when the row is done.
 inline bool scan_row_full(const TiledArchive& archive, const RasterModel& model,
                           const LinearModel* linear, std::size_t x0, std::size_t x1,
                           std::size_t y, TopK<RasterHit>& top, std::vector<double>& scratch,
@@ -219,8 +332,9 @@ inline bool scan_row_full(const TiledArchive& archive, const RasterModel& model,
       n = 1 + lease.take_runs(x1 - x - 1, unit);
     }
     tally.pixels += n;
+    std::uint64_t bad = 0;
     if (linear != nullptr) {
-      score_linear_run(archive, *linear, x, y, n, scores);
+      bad = offer_linear_run(archive, *linear, x, y, n, top, scores);
       meter.add_points(n * bands);
       meter.add_bytes(n * bands * sizeof(double));
       meter.add_ops(n * unit);
@@ -228,21 +342,7 @@ inline bool scan_row_full(const TiledArchive& archive, const RasterModel& model,
       for (std::size_t i = 0; i < n; ++i) {
         scores[i] = full_pixel(archive, model, x + i, y, pixel, meter);
       }
-    }
-    std::uint64_t bad = 0;
-    double threshold = top.threshold();  // moves only when an offer lands
-    for (std::size_t i = 0; i < n; ++i) {
-      const double score = scores[i];
-      if (!std::isfinite(score)) {
-        ++bad;
-        continue;
-      }
-      // >= rather than >: a score tying the threshold can still displace a
-      // worse-ranked incumbent under the canonical (score, rank) order.
-      if (score >= threshold &&
-          top.offer_ranked(score, pixel_rank(x + i, y), RasterHit{x + i, y, score})) {
-        threshold = top.threshold();
-      }
+      bad = offer_scores(scores, n, x, y, top);
     }
     if (bad > 0) {
       ctx.note_bad_points(bad);

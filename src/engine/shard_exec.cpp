@@ -1013,17 +1013,28 @@ CompositeTopK sharded_composite_top_k(const CartesianQuery& query, std::size_t s
   for (const CostMeter& m : meters) meter.merge(m);
 
   CompositeTopK out;
-  TopK<CompositeMatch> top(k);
   out.missed_bound = 0.0;
   ResultStatus truncated = ResultStatus::kComplete;
   bool any_degraded = false;
+  std::vector<const CompositeMatch*> pooled;
   for (const CompositeTopK& partial : partials) {
-    for (const CompositeMatch& match : partial.matches) top.offer(match.score, match);
+    for (const CompositeMatch& match : partial.matches) pooled.push_back(&match);
     out.missed_bound = std::max(out.missed_bound, partial.missed_bound);
     if (partial.status == ResultStatus::kDegraded) any_degraded = true;
     if (is_truncated(partial.status) && truncated == ResultStatus::kComplete) {
       truncated = partial.status;
     }
+  }
+  // A match's identity is its item assignment; its rank is the assignment's
+  // lexicographic position among the pooled matches, so exact score ties
+  // break toward the lexicographically smaller assignment — the order the
+  // brute-force odometer visits them in — whatever the shard order.
+  std::sort(pooled.begin(), pooled.end(), [](const CompositeMatch* a, const CompositeMatch* b) {
+    return a->items < b->items;
+  });
+  TopK<CompositeMatch> top(k);
+  for (std::size_t rank = 0; rank < pooled.size(); ++rank) {
+    top.offer_ranked(pooled[rank]->score, rank, *pooled[rank]);
   }
   for (auto& entry : top.take_sorted()) out.matches.push_back(std::move(entry.item));
   out.status = truncated != ResultStatus::kComplete

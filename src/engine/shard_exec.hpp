@@ -155,8 +155,9 @@ struct ShardScanResult {
 
 /// Scatter-gather over a ShardedOnionIndex: every per-shard index is queried
 /// on the pool, hits are remapped to global tuple ids, and the partials merge
-/// under the max-of-bounds rule.  Equals the monolithic OnionIndex answer
-/// modulo exact ties.
+/// under the max-of-bounds rule (merge_onion_partials).  Scores equal the
+/// monolithic OnionIndex answer; exact ties merge toward the lower global
+/// id, so the merged ids do not depend on which shard finishes first.
 [[nodiscard]] OnionTopK sharded_onion_top_k(const ShardedOnionIndex& index,
                                             std::span<const double> weights, std::size_t k,
                                             QueryContext& ctx, CostMeter& meter,
@@ -171,7 +172,9 @@ enum class ShardedSprocProcessor : std::uint8_t { kFastSproc = 0, kSproc = 1, kB
 /// slice runs the chosen processor independently on the pool, and the gather
 /// keeps each shard's own candidates and merges them.  Scores equal the
 /// monolithic processors' (same_scores) because the slices partition the
-/// candidate space.
+/// candidate space.  Exact score ties merge toward the lexicographically
+/// smaller item assignment, the brute-force odometer's order, so sharded
+/// brute force returns the monolithic matches exactly.
 [[nodiscard]] CompositeTopK sharded_composite_top_k(const CartesianQuery& query,
                                                     std::size_t shards,
                                                     ShardedSprocProcessor processor,

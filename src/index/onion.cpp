@@ -252,7 +252,7 @@ OnionTopK merge_onion_partials(std::span<const OnionTopK> partials, std::size_t 
   bool all_shed = !partials.empty();
   ResultStatus truncated = ResultStatus::kComplete;
   for (const OnionTopK& partial : partials) {
-    for (const ScoredId& hit : partial.hits) top.offer(hit.score, hit.id);
+    for (const ScoredId& hit : partial.hits) top.offer_ranked(hit.score, hit.id, hit.id);
     out.missed_bound = std::max(out.missed_bound, partial.missed_bound);
     if (partial.status != ResultStatus::kShed) all_shed = false;
     if (is_truncated(partial.status) && truncated == ResultStatus::kComplete) {

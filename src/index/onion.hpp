@@ -107,8 +107,9 @@ class OnionIndex {
 };
 
 /// Merges per-shard Onion partials into one global OnionTopK of size at most
-/// `k`.  Hits are offered in shard order (ties break toward the lower shard),
-/// the merged missed bound is the max over shard bounds, and the disposition
+/// `k`.  Exact score ties break toward the lower global id, so the merged
+/// set is the canonical (score desc, id asc) top-K of the partials' hits
+/// whatever order the partials arrive in.  The merged missed bound is the max over shard bounds, and the disposition
 /// is the first truncated shard's status (complete otherwise; all-shed stays
 /// shed).  Pure, so shard-merge soundness is unit-testable without a pool.
 [[nodiscard]] OnionTopK merge_onion_partials(std::span<const OnionTopK> partials, std::size_t k);

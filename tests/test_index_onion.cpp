@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "data/tuples.hpp"
@@ -300,6 +301,63 @@ TEST(ShardedOnion, MergedShardsMatchSequentialScanOracle) {
         const OnionTopK pooled = sharded_onion_top_k(sharded, w, k, pooled_ctx, pooled_meter, pool);
         EXPECT_EQ(pooled.status, ResultStatus::kComplete);
         expect_same_hits(expected, pooled.hits);
+      }
+    }
+  }
+}
+
+/// Gaussian tuples rounded to half-integers: exact duplicates and exact
+/// score ties under integer weights, with no rounding in the dot products.
+TupleSet tie_tuples(std::size_t n, std::uint64_t seed) {
+  const TupleSet raw = gaussian_tuples(n, 3, seed);
+  TupleSet out(3, n);
+  std::vector<double> row(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < 3; ++d) row[d] = 0.5 * std::round(2.0 * raw.row(i)[d]);
+    out.push_row(row);
+  }
+  return out;
+}
+
+// The oracle again on tie-storm tuples: the sequential scan visits ids in
+// order, so its answer is the canonical (score desc, id asc) top-K, and the
+// merged shards must reproduce it id for id — whichever order the shard
+// partials reach the merge in.
+TEST(ShardedOnion, ExactTiesMergeToTheSequentialScansIds) {
+  const std::vector<std::vector<double>> weights = {{1, 0, 0}, {1, 1, 0}, {2, -1, 1}, {0, 0, -1}};
+  for (const std::size_t n : {60UL, 400UL}) {
+    const TupleSet points = tie_tuples(n, 31 + n);
+    for (const std::size_t shards : {2UL, 3UL, 4UL, 8UL}) {
+      const ShardedOnionIndex sharded(points, shards);
+      for (const auto& w : weights) {
+        for (const std::size_t k : {1UL, 5UL, 12UL}) {
+          SCOPED_TRACE(testing::Message() << "n " << n << " shards " << shards << " k " << k
+                                          << " w " << w[0] << "," << w[1] << "," << w[2]);
+          CostMeter scan_meter;
+          const auto expected = scan_top_k(points, w, k, scan_meter);
+          QueryContext ctx;
+          CostMeter meter;
+          std::vector<OnionTopK> partials;
+          for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+            partials.push_back(sharded.shard(s).top_k(w, k, ctx, meter));
+            for (ScoredId& hit : partials.back().hits) hit.id = sharded.global_id(s, hit.id);
+          }
+          const OnionTopK forward = merge_onion_partials(partials, k);
+          std::reverse(partials.begin(), partials.end());
+          const OnionTopK reversed = merge_onion_partials(partials, k);
+          ThreadPool pool(2);
+          QueryContext pooled_ctx;
+          CostMeter pooled_meter;
+          const OnionTopK pooled =
+              sharded_onion_top_k(sharded, w, k, pooled_ctx, pooled_meter, pool);
+          for (const OnionTopK* got : {&forward, &reversed, &pooled}) {
+            ASSERT_EQ(got->hits.size(), expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+              EXPECT_EQ(got->hits[i].id, expected[i].id) << "rank " << i;
+              EXPECT_EQ(got->hits[i].score, expected[i].score) << "rank " << i;
+            }
+          }
+        }
       }
     }
   }

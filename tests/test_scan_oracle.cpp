@@ -9,7 +9,15 @@
 // batched members must all return exactly those hits with bit-identical
 // scores — on clean archives, NaN-poisoned ones and the exact-tie scenes of
 // tie_parity_scenarios().  A complete full scan must also bill exactly
-// pixels·bands points, pixels·N ops and pixels·bands·8 bytes.
+// pixels·bands points, pixels·N ops and pixels·bands·8 bytes, and count
+// exactly the reference's non-finite scores as bad points.
+//
+// The fused linear pass scores bands in groups of four and screens pixels
+// in fixed blocks, so a further battery runs archives of 1, 3, 5 and 9
+// bands, at widths and tile sizes that leave partial groups and blocks,
+// with +inf, -inf and NaN samples and a scene whose every run ties the heap
+// threshold exactly, through every path and under budgets that trip the
+// serial scan mid-run.
 //
 // The second half covers the per-pixel path the row kernel keeps for
 // non-linear models (a product of two bands plus a linear tail), alone and
@@ -68,12 +76,22 @@ struct OracleArchive {
         }
       }
     }
-    std::vector<const Grid*> bands;
-    for (const Grid& g : grids) bands.push_back(&g);
-    archive = std::make_unique<TiledArchive>(std::move(bands), cfg.tile_size);
+    view(cfg.tile_size);
+  }
+
+  OracleArchive(std::string label, std::vector<Grid> bands, std::size_t tile)
+      : name(std::move(label)), grids(std::move(bands)) {
+    view(tile);
   }
 
   [[nodiscard]] const TiledArchive& tiled() const { return *archive; }
+
+ private:
+  void view(std::size_t tile) {
+    std::vector<const Grid*> bands;
+    for (const Grid& g : grids) bands.push_back(&g);
+    archive = std::make_unique<TiledArchive>(std::move(bands), tile);
+  }
 };
 
 ScenarioConfig scenario(ScenarioKind kind, std::size_t width, std::size_t height,
@@ -158,19 +176,21 @@ struct Scored {
   std::size_t y;
 };
 
-/// The hand-rolled reference: every pixel gathered from the grids and
-/// scored by `score_fn`, finite scores sorted canonically, first K kept.
+/// The hand-rolled reference: the first `pixels` pixels in row-major order
+/// (every pixel by default) gathered from the grids and scored by
+/// `score_fn`, finite scores sorted canonically, first K kept.
 template <typename ScoreFn>
 std::vector<RasterHit> oracle_top_k(const TiledArchive& archive, std::size_t k,
-                                    ScoreFn&& score_fn) {
+                                    ScoreFn&& score_fn,
+                                    std::size_t pixels = std::numeric_limits<std::size_t>::max()) {
   std::vector<Scored> all;
   std::vector<double> pixel(archive.band_count());
-  for (std::size_t y = 0; y < archive.height(); ++y) {
-    for (std::size_t x = 0; x < archive.width(); ++x) {
-      for (std::size_t b = 0; b < pixel.size(); ++b) pixel[b] = archive.band(b).at(x, y);
-      const double score = score_fn(pixel);
-      if (std::isfinite(score)) all.push_back({score, (std::uint64_t{y} << 32) | x, x, y});
-    }
+  for (std::size_t i = 0; i < std::min(pixels, archive.pixel_count()); ++i) {
+    const std::size_t x = i % archive.width();
+    const std::size_t y = i / archive.width();
+    for (std::size_t b = 0; b < pixel.size(); ++b) pixel[b] = archive.band(b).at(x, y);
+    const double score = score_fn(pixel);
+    if (std::isfinite(score)) all.push_back({score, (std::uint64_t{y} << 32) | x, x, y});
   }
   std::sort(all.begin(), all.end(), [](const Scored& a, const Scored& b) {
     return a.score != b.score ? a.score > b.score : a.rank < b.rank;
@@ -180,6 +200,31 @@ std::vector<RasterHit> oracle_top_k(const TiledArchive& archive, std::size_t k,
     out.push_back(RasterHit{all[i].x, all[i].y, all[i].score});
   }
   return out;
+}
+
+/// How many of the first `pixels` pixels, in row-major order, have a band
+/// vector satisfying `pred`.
+template <typename Pred>
+std::uint64_t count_pixels(const TiledArchive& archive, std::size_t pixels, Pred&& pred) {
+  std::uint64_t count = 0;
+  std::vector<double> pixel(archive.band_count());
+  for (std::size_t i = 0; i < pixels; ++i) {
+    const std::size_t x = i % archive.width();
+    const std::size_t y = i / archive.width();
+    for (std::size_t b = 0; b < pixel.size(); ++b) pixel[b] = archive.band(b).at(x, y);
+    if (pred(std::span<const double>(pixel))) ++count;
+  }
+  return count;
+}
+
+/// The bad points a scan of the first `pixels` pixels must count: those
+/// whose score is non-finite.
+template <typename ScoreFn>
+std::uint64_t oracle_bad_points(const TiledArchive& archive, std::size_t pixels,
+                                ScoreFn&& score_fn) {
+  return count_pixels(archive, pixels, [&](std::span<const double> pixel) {
+    return !std::isfinite(score_fn(pixel));
+  });
 }
 
 void expect_oracle_hits(const std::vector<RasterHit>& expected,
@@ -213,9 +258,13 @@ void expect_full_bill(const TiledArchive& archive, const RasterModel& model,
 }
 
 /// Runs `model` through every full-model path and checks each answer
-/// against `expected` (and each complete full scan's bill).
+/// against `expected`, and each complete full scan's bill and bad-point
+/// count against the reference's.
 void check_every_path(const TiledArchive& archive, const RasterModel& model,
                       const std::vector<RasterHit>& expected) {
+  const std::uint64_t expected_bad =
+      oracle_bad_points(archive, archive.pixel_count(),
+                        [&](std::span<const double> pixel) { return model.evaluate(pixel); });
   const ResultStatus clean = exec::completion_status(archive, 0);
   {
     SCOPED_TRACE("serial full scan");
@@ -223,6 +272,7 @@ void check_every_path(const TiledArchive& archive, const RasterModel& model,
     CostMeter meter;
     const RasterTopK out = full_scan_top_k(archive, model, kK, ctx, meter);
     EXPECT_EQ(out.status, out.bad_points > 0 ? ResultStatus::kDegraded : clean);
+    EXPECT_EQ(out.bad_points, expected_bad);
     expect_oracle_hits(expected, out.hits);
     expect_full_bill(archive, model, meter);
   }
@@ -242,6 +292,7 @@ void check_every_path(const TiledArchive& archive, const RasterModel& model,
       CostMeter meter;
       const RasterTopK out = parallel_full_scan_top_k(archive, model, kK, ctx, meter, pool);
       EXPECT_FALSE(is_truncated(out.status));
+      EXPECT_EQ(out.bad_points, expected_bad);
       expect_oracle_hits(expected, out.hits);
       expect_full_bill(archive, model, meter);
     }
@@ -263,6 +314,7 @@ void check_every_path(const TiledArchive& archive, const RasterModel& model,
       const RasterTopK out =
           sharded_full_scan_top_k(sharded, model, kK, ctx, meter, pool).merged;
       EXPECT_FALSE(is_truncated(out.status));
+      EXPECT_EQ(out.bad_points, expected_bad);
       expect_oracle_hits(expected, out.hits);
       expect_full_bill(archive, model, meter);
     }
@@ -292,6 +344,7 @@ void check_every_path(const TiledArchive& archive, const RasterModel& model,
       EXPECT_FALSE(is_truncated(r.result.status));
       expect_oracle_hits(expected, r.result.hits);
     }
+    EXPECT_EQ(results[0].result.bad_points, expected_bad);
     expect_full_bill(archive, model, meters[0]);
   }
 }
@@ -320,6 +373,171 @@ TEST(ScanOracle, NonLinearFullScansMatchTheHandRolledReferenceOnEveryPath) {
     const auto expected = oracle_top_k(
         archive, kK, [&](std::span<const double> pixel) { return model.evaluate(pixel); });
     check_every_path(archive, model, expected);
+  }
+}
+
+/// Archives for the fused linear pass's edge cases: 1, 3, 5 and 9 bands
+/// (no multiple of the four-band group but the first group of 5 and 9),
+/// widths and tile sizes that leave partial screen blocks, and +inf, -inf
+/// and NaN samples in every band.
+const std::vector<std::unique_ptr<OracleArchive>>& edge_archives() {
+  static const auto pool = [] {
+    struct Shape {
+      std::size_t bands, width, height, tile;
+    };
+    const Shape shapes[] = {{1, 37, 13, 16}, {3, 50, 11, 16}, {5, 33, 17, 7}, {9, 19, 23, 5}};
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<std::unique_ptr<OracleArchive>> p;
+    std::uint64_t seed = 901;
+    for (const Shape& shape : shapes) {
+      ScenarioConfig cfg =
+          scenario(ScenarioKind::kDense, shape.width, shape.height, shape.tile, seed++);
+      cfg.bands = std::max<std::size_t>(shape.bands, 2);  // the generator makes at least two
+      std::vector<Grid> grids = generate_scenario(cfg).grids;
+      grids.erase(grids.begin() + static_cast<std::ptrdiff_t>(shape.bands), grids.end());
+      Rng rng(cfg.seed + 29);
+      for (Grid& g : grids) {
+        for (std::size_t y = 0; y < shape.height; ++y) {
+          for (std::size_t x = 0; x < shape.width; ++x) {
+            const double u = rng.uniform(0.0, 1.0);
+            if (u < 0.02) {
+              g.at(x, y) = kInf;
+            } else if (u < 0.04) {
+              g.at(x, y) = -kInf;
+            } else if (u < 0.05) {
+              g.at(x, y) = std::numeric_limits<double>::quiet_NaN();
+            }
+          }
+        }
+      }
+      p.push_back(std::make_unique<OracleArchive>(std::to_string(shape.bands) + "_bands",
+                                                  std::move(grids), shape.tile));
+    }
+    return p;
+  }();
+  return pool;
+}
+
+/// All-positive weights: a pixel with a -inf sample and no +inf or NaN one
+/// scores exactly -inf.
+LinearModel positive_model(std::size_t bands) {
+  std::vector<double> weights(bands);
+  for (std::size_t b = 0; b < bands; ++b) weights[b] = 0.5 + 0.25 * static_cast<double>(b);
+  return LinearModel(std::move(weights), 0.125, {});
+}
+
+/// Budgets that stop a scan mid-run.  The serial full scan visits exactly
+/// the first floor(budget / N) pixels in row-major order, so it must bill
+/// exactly their ops, count exactly their bad points and return exactly
+/// their canonical top-K; the tile-parallel and sharded scans must stay
+/// within the budget and certify a prefix of the exact answer.
+template <typename ScoreFn>
+void check_budget_trips(const TiledArchive& archive, const RasterModel& model,
+                        ScoreFn&& score_fn) {
+  const std::uint64_t unit = model.ops_per_evaluation();
+  const std::size_t width = archive.width();
+  const std::size_t pixels = archive.pixel_count();
+  const auto exact = oracle_top_k(archive, kK, score_fn);
+  ThreadPool pool(3);
+  const ShardedArchive sharded(archive, 3, ShardPolicy::kRowBands);
+  for (const std::size_t stop : {std::size_t{5}, width + 3, 2 * width + 17, pixels / 2 + 1,
+                                 pixels - 1}) {
+    if (stop >= pixels) continue;
+    for (const std::uint64_t slack : {std::uint64_t{0}, unit - 1}) {
+      const std::uint64_t budget = stop * unit + slack;
+      SCOPED_TRACE(testing::Message() << "budget " << budget << " stops at pixel " << stop);
+      {
+        QueryContext ctx;
+        ctx.with_op_budget(budget);
+        CostMeter meter;
+        const RasterTopK out = full_scan_top_k(archive, model, kK, ctx, meter);
+        EXPECT_EQ(out.status, ResultStatus::kTruncatedBudget);
+        EXPECT_EQ(meter.ops(), stop * unit);
+        EXPECT_EQ(out.bad_points, oracle_bad_points(archive, stop, score_fn));
+        expect_oracle_hits(oracle_top_k(archive, kK, score_fn, stop), out.hits);
+        expect_sound_prefix(exact, out);
+      }
+      {
+        QueryContext ctx;
+        ctx.with_op_budget(budget);
+        CostMeter meter;
+        const RasterTopK out = parallel_full_scan_top_k(archive, model, kK, ctx, meter, pool);
+        EXPECT_EQ(out.status, ResultStatus::kTruncatedBudget);
+        EXPECT_LE(meter.ops(), budget);
+        expect_sound_prefix(exact, out);
+      }
+      {
+        QueryContext ctx;
+        ctx.with_op_budget(budget);
+        CostMeter meter;
+        const RasterTopK out =
+            sharded_full_scan_top_k(sharded, model, kK, ctx, meter, pool).merged;
+        EXPECT_TRUE(is_truncated(out.status));
+        EXPECT_LE(meter.ops(), budget);
+        expect_sound_prefix(exact, out);
+      }
+    }
+  }
+}
+
+TEST(ScanOracle, FusedPassEdgeCasesMatchTheReferenceOnEveryPath) {
+  std::uint64_t seed = 500;
+  std::uint64_t neg_inf_scores = 0;
+  for (const auto& entry : edge_archives()) {
+    const TiledArchive& archive = entry->tiled();
+    const std::size_t bands = archive.band_count();
+    const LinearModel models[] = {make_model(seed, bands, false), make_model(seed + 1, bands, true),
+                                  positive_model(bands)};
+    seed += 2;
+    for (const LinearModel& linear : models) {
+      SCOPED_TRACE(testing::Message() << entry->name << " bias " << linear.bias());
+      const LinearRasterModel model(linear);
+      const auto score = [&](std::span<const double> pixel) { return linear.evaluate(pixel); };
+      check_every_path(archive, model, oracle_top_k(archive, kK, score));
+      check_budget_trips(archive, model, score);
+      neg_inf_scores += count_pixels(archive, archive.pixel_count(), [&](auto pixel) {
+        return score(pixel) == -std::numeric_limits<double>::infinity();
+      });
+    }
+  }
+  // The battery really holds -inf scores, which lie below every finite
+  // threshold and must still be counted as bad points.
+  EXPECT_GT(neg_inf_scores, 0u);
+}
+
+TEST(ScanOracle, RunsTyingTheThresholdExactlyKeepTheCanonicalAnswer) {
+  // Every pixel scores the same except K-1 higher ones in the last row:
+  // once the heap is full every run ties its threshold exactly, so every
+  // screen block is flagged and offered, and only pixel rank decides.  The
+  // answer is the K-1 high pixels, then pixel (0, 0).
+  for (const std::size_t bands : {1, 4, 6}) {
+    constexpr std::size_t kWidth = 45;
+    constexpr std::size_t kHeight = 9;
+    std::vector<Grid> grids;
+    for (std::size_t b = 0; b < bands; ++b) {
+      Grid g(kWidth, kHeight);
+      for (std::size_t y = 0; y < kHeight; ++y) {
+        for (std::size_t x = 0; x < kWidth; ++x) g.at(x, y) = 0.5;
+      }
+      for (std::size_t i = 0; i + 1 < kK; ++i) g.at(kWidth - 1 - 2 * i, kHeight - 1) = 2.0;
+      grids.push_back(std::move(g));
+    }
+    const OracleArchive entry("tie_run", std::move(grids), 8);
+    const TiledArchive& archive = entry.tiled();
+    const LinearModel models[] = {positive_model(bands), make_model(700 + bands, bands, true)};
+    for (const LinearModel& linear : models) {
+      SCOPED_TRACE(testing::Message() << bands << " bands, bias " << linear.bias());
+      const LinearRasterModel model(linear);
+      const auto score = [&](std::span<const double> pixel) { return linear.evaluate(pixel); };
+      const auto expected = oracle_top_k(archive, kK, score);
+      ASSERT_EQ(expected.size(), kK);
+      if (linear.bias() == 0.125) {  // the positive model: the high pixels lead
+        EXPECT_EQ(expected.back().x, 0u);
+        EXPECT_EQ(expected.back().y, 0u);
+      }
+      check_every_path(archive, model, expected);
+      check_budget_trips(archive, model, score);
+    }
   }
 }
 

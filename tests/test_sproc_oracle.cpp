@@ -2,7 +2,8 @@
 // hundreds of seeded random fuzzy Cartesian queries — including degenerate
 // strata (all-zero degrees, single-component, single-item libraries, and
 // all-NaN degree tables) — brute force, the k-best DP, and the fast
-// threshold processor must return identical top-K score lists.
+// threshold processor must return identical top-K score lists, sharded or
+// not, and sharded brute force must keep the monolithic tie order.
 //
 // Failing case seeds are printed so any divergence reproduces standalone.
 
@@ -204,6 +205,69 @@ TEST(SprocOracle, ShardedScatterGatherMatchesMonolithicBruteForce) {
     }
     if (!ok) failing_seeds.push_back(seed);
   }
+  if (!failing_seeds.empty()) {
+    std::ostringstream os;
+    os << "failing case seeds:";
+    for (std::uint64_t s : failing_seeds) os << ' ' << s;
+    ADD_FAILURE() << os.str();
+  }
+}
+
+// The sharded oracle again with every degree rounded up to a quarter, so
+// products and minima tie exactly and many matches share a score.  The
+// brute-force odometer keeps the lexicographically smaller assignment on a
+// tie, and so must the gather: sharded brute force returns the monolithic
+// matches assignment for assignment, at every shard and worker count.  The
+// other processors keep their own tie order inside a shard, so for them the
+// scores alone must agree.
+TEST(SprocOracle, ShardedExactTiesMergeToTheBruteForceAssignments) {
+  std::vector<std::uint64_t> failing_seeds;
+  std::size_t tied_cases = 0;
+  for (std::uint64_t seed = 0; seed < 80; ++seed) {
+    const OracleCase c = make_case(seed + 1000);
+    for (double& u : c.data->unary) u = std::ceil(4.0 * u) / 4.0;
+    for (double& b : c.data->binary) b = std::ceil(4.0 * b) / 4.0;
+    SCOPED_TRACE(c.describe());
+
+    CostMeter exact_meter;
+    const std::vector<CompositeMatch> exact = brute_force_top_k(c.query, c.k, exact_meter);
+    for (std::size_t i = 1; i < exact.size(); ++i) {
+      if (exact[i].score == exact[i - 1].score) {
+        ++tied_cases;
+        break;
+      }
+    }
+
+    bool ok = true;
+    for (std::size_t shards : {2UL, 3UL, 4UL}) {
+      for (std::size_t workers : {0UL, 2UL}) {
+        ThreadPool pool(workers);
+        for (ShardedSprocProcessor processor :
+             {ShardedSprocProcessor::kBruteForce, ShardedSprocProcessor::kSproc,
+              ShardedSprocProcessor::kFastSproc}) {
+          QueryContext ctx;
+          CostMeter meter;
+          const CompositeTopK result =
+              sharded_composite_top_k(c.query, shards, processor, c.k, ctx, meter, pool);
+          bool same = same_scores(exact, result.matches);
+          if (same && processor == ShardedSprocProcessor::kBruteForce) {
+            for (std::size_t i = 0; i < exact.size(); ++i) {
+              same = same && result.matches[i].items == exact[i].items;
+            }
+          }
+          if (!same) {
+            ADD_FAILURE() << "sharded (S=" << shards << " processor="
+                          << static_cast<int>(processor) << " workers=" << workers
+                          << ") diverges from monolithic brute force";
+            ok = false;
+          }
+        }
+      }
+    }
+    if (!ok) failing_seeds.push_back(seed + 1000);
+  }
+  // The rounding really produces exact ties inside the answers.
+  EXPECT_GT(tied_cases, 20u);
   if (!failing_seeds.empty()) {
     std::ostringstream os;
     os << "failing case seeds:";
