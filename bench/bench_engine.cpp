@@ -28,12 +28,14 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "archive/sharded.hpp"
 #include "archive/tiled.hpp"
+#include "core/exec_kernels.hpp"
 #include "core/progressive_exec.hpp"
 #include "core/raster_model.hpp"
 #include "data/scene.hpp"
@@ -672,6 +674,7 @@ void write_json(const std::vector<SweepRow>& rows, const std::vector<ShardedRow>
   std::fprintf(f, "  \"git_commit\": \"%s\",\n", MMIR_GIT_COMMIT);
   std::fprintf(f, "  \"build_flags\": \"%s\",\n", MMIR_BUILD_FLAGS);
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"kernel_isa\": \"%s\",\n", std::string(exec::kernel_isa()).c_str());
   std::fprintf(f, "  \"queries_per_config\": 256,\n  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
@@ -750,8 +753,9 @@ void run_table() {
   const ProgressiveLinearModel progressive(model, ranges);
   const TiledArchive archive(bands, 16);
 
-  std::printf("host hardware threads: %u (thread-scaling columns are only meaningful > 1)\n\n",
+  std::printf("host hardware threads: %u (thread-scaling columns are only meaningful > 1)\n",
               std::thread::hardware_concurrency());
+  std::printf("full-scan kernel ISA: %s\n\n", std::string(exec::kernel_isa()).c_str());
   std::printf("%7s %7s %9s | %9s %9s %9s %9s %9s\n", "threads", "queue", "hit-tgt", "qps",
               "p50 ms", "p99 ms", "shed", "hit-meas");
   std::printf(

@@ -21,6 +21,14 @@
 // batched paths do), `run:512` whole rows; `nan:1` poisons one band of 1%
 // of the pixels, so the blocks holding them take the per-pixel offer loop.
 //
+// `BM_ScanRectStaged` times the staged kernel (scan_rect_staged, the model
+// leg of §3.1) over the same whole rows, abandoning pixels against the local
+// heap threshold as progressive_model_top_k does; time_per_px is per pixel
+// scanned, and `ops_per_px` the model terms it computed per pixel.
+//
+// The report's context carries `kernel_isa` (exec::kernel_isa(): "avx2" or
+// "baseline"), the instruction set the fused linear pass ran on.
+//
 //   ./build/bench/bench_kernel [--benchmark_repetitions=5 ...]
 
 #include <benchmark/benchmark.h>
@@ -29,12 +37,14 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/exec_kernels.hpp"
 #include "core/query_context.hpp"
 #include "core/raster_model.hpp"
 #include "linear/model.hpp"
+#include "linear/progressive.hpp"
 #include "testing/scenario_gen.hpp"
 #include "util/cost.hpp"
 #include "util/rng.hpp"
@@ -108,6 +118,14 @@ class OpaqueLinearModel final : public RasterModel {
   LinearModel model_;
 };
 
+/// Seconds per pixel, inverted from a pixels-per-second rate (printed as
+/// e.g. "2.1ns").
+benchmark::Counter time_per_px(std::uint64_t pixels) {
+  return benchmark::Counter(static_cast<double>(pixels),
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
 /// Scans the whole of `archive` in `run`-wide square tiles, row-major (a
 /// run as wide as the scene scans whole rows in one call).
 void scan_scene(benchmark::State& state, const TiledArchive& archive, const RasterModel& model,
@@ -134,10 +152,7 @@ void scan_scene(benchmark::State& state, const TiledArchive& archive, const Rast
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * pixels *
                                                     archive.band_count() * sizeof(double)));
-  // Pixels per second, inverted: seconds per pixel (printed as e.g. "2.1ns").
-  state.counters["time_per_px"] = benchmark::Counter(
-      static_cast<double>(pixels),
-      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["time_per_px"] = time_per_px(pixels);
 }
 
 void BM_ScanRectFull_Linear(benchmark::State& state) {
@@ -156,6 +171,30 @@ void BM_ScanLinear_Runs(benchmark::State& state) {
   scan_scene(state, archive, model, false, static_cast<std::size_t>(state.range(0)));
 }
 
+void BM_ScanRectStaged(benchmark::State& state) {
+  const TiledArchive& archive = scene().tiled();
+  const ProgressiveLinearModel model(
+      kernel_model(), {archive.band_ranges().begin(), archive.band_ranges().end()});
+  const std::uint64_t pixels = archive.pixel_count();
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    QueryContext ctx;
+    CostMeter meter;
+    exec::ScanTally tally;
+    TopK<RasterHit> top(kTopK);
+    exec::scan_rect_staged(
+        archive, model, 0, archive.width(), 0, archive.height(), top,
+        [&] { return top.threshold(); }, [] {}, ctx, meter, tally);
+    if (ctx.stopped() || tally.pixels != pixels) state.SkipWithError("scan did not complete");
+    ops = meter.ops();
+    benchmark::DoNotOptimize(top.threshold());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * pixels *
+                                                    archive.band_count() * sizeof(double)));
+  state.counters["time_per_px"] = time_per_px(pixels);
+  state.counters["ops_per_px"] = static_cast<double>(ops) / static_cast<double>(pixels);
+}
+
 BENCHMARK(BM_ScanRectFull_Linear)
     ->ArgName("budgeted")
     ->Arg(0)
@@ -171,6 +210,15 @@ BENCHMARK(BM_ScanLinear_Runs)
     ->ArgsProduct({{32, kSide}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
+BENCHMARK(BM_ScanRectStaged)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("kernel_isa", std::string(exec::kernel_isa()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -47,9 +47,11 @@ hardware_concurrency below 4 report it without gating.
 
 Both files must carry the same schema_version (stamped by bench_engine along
 with git_commit and build_flags); mismatched schemas exit 2 rather than
-producing a bogus comparison.  So do mismatched hardware_concurrency or
-build_flags stamps (both values are printed): a diff across hosts or
-builds would gate on the difference between machines, not between commits.  A missing *baseline* file is not an error —
+producing a bogus comparison.  So do mismatched hardware_concurrency,
+build_flags or kernel_isa stamps (both values are printed; a file that
+predates a stamp reads None): a diff across hosts, builds or kernel
+instruction sets would gate on the difference between machines, not
+between commits.  A missing *baseline* file is not an error —
 the first run on a fresh branch has nothing to diff against, so the script
 warns and exits 0 (a missing candidate still fails: that means the bench
 itself did not run).  Throughput improvements never fail the gate.
@@ -66,9 +68,10 @@ import statistics
 import sys
 
 # Stamps that must match for two runs to be diffed: timings from a host with
-# a different thread count, or from a build with different flags, measure
-# something else.
-HOST_FINGERPRINT = ("hardware_concurrency", "build_flags")
+# a different thread count, from a build with different flags, or with the
+# full-scan kernel running on another instruction set (kernel_isa: "avx2" or
+# "baseline") measure something else.
+HOST_FINGERPRINT = ("hardware_concurrency", "build_flags", "kernel_isa")
 
 
 def load(path: str) -> dict:
@@ -281,7 +284,8 @@ def main() -> int:
         print(
             f"{label}: commit {doc.get('git_commit', '?')} "
             f"[{doc.get('build_flags', '?')}] "
-            f"hw_threads {doc.get('hardware_concurrency', '?')}"
+            f"hw_threads {doc.get('hardware_concurrency', '?')} "
+            f"kernel_isa {doc.get('kernel_isa', '?')}"
         )
 
     failed = False

@@ -22,7 +22,30 @@
 // bad point, -inf included) or a score that could enter the heap — goes
 // through the per-pixel isfinite / offer_ranked loop (offer_scores).  Any
 // other model is evaluated per pixel and offered through that same loop.
-// It pays for a run with one ChargeLease::take_runs and bills
+//
+// That fused pass is one body (detail::offer_linear_run_body) compiled
+// twice in core/exec_kernels.cpp: an entry for AVX2 (four doubles per
+// instruction) and one for the baseline ISA.  offer_linear_run calls the
+// AVX2 entry when __builtin_cpu_supports("avx2") says the host runs it, the
+// baseline entry otherwise, through a function pointer chosen once per
+// process; a host without AVX2 runs the baseline code.  There is no knob:
+// no environment variable, config field, CMake option or -march flag.  The
+// vectors run across pixels, so each pixel keeps its band-order sum and the
+// two entries return the same score bytes.  Three things are left out on
+// purpose:
+//   * FMA: a fused multiply-add rounds w·p + s once instead of twice and
+//     would change score bits.  The "avx2" target does not enable FMA, and
+//     exec_kernels.cpp is compiled with -ffp-contract=off besides (GCC 12
+//     contracts a*b+c into vfmadd even under -std=c++20 once FMA is on).
+//   * target_clones / ifunc: the ifunc resolver runs before the TSan
+//     runtime starts, and a TSan binary with a target_clones function
+//     segfaulted there in a prototype; the plain pointer runs clean under
+//     ASan/UBSan and TSan.
+//   * AVX-512: an AVX-512 prototype entry was no faster at L0 on a 4-vCPU
+//     Xeon host (bench_kernel BM_ScanRectFull_Linear 1.51–1.66 ns/px
+//     against 1.40–1.48 for AVX2).
+//
+// The kernel pays for a run with one ChargeLease::take_runs and bills
 // the meter once per run (n·bands points, n·bands·8 bytes, n·N ops), so
 // complete-scan totals are the per-pixel ones exactly and a single worker
 // trips on exactly the per-pixel unit.  One consequence: a stop latched by
@@ -59,6 +82,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "archive/tiled.hpp"
@@ -255,6 +279,9 @@ struct BandGroup {
   }
 };
 
+namespace detail {
+
+/// The one body of offer_linear_run, compiled once per entry below.
 /// Scores pixels [x, x+n) of row y with a linear model and offers them, in
 /// one fused pass per group of up to kBandGroup bands.  Each score is
 /// summed as ((bias + w0·p0) + w1·p1) + … in band index order — exactly the
@@ -267,9 +294,9 @@ struct BandGroup {
 /// point and nothing the heap could take, so it is done; a flagged block
 /// (NaN, ±inf, or a score reaching the threshold) goes through
 /// offer_scores.  Returns the run's bad-point count.
-inline std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& model,
-                                      std::size_t x, std::size_t y, std::size_t n,
-                                      TopK<RasterHit>& top, double* sums) {
+inline std::uint64_t offer_linear_run_body(const TiledArchive& archive, const LinearModel& model,
+                                           std::size_t x, std::size_t y, std::size_t n,
+                                           TopK<RasterHit>& top, double* sums) {
   const std::size_t bands = model.dim();
   const std::size_t offset = y * archive.width() + x;
   const double bias = model.bias();
@@ -296,6 +323,33 @@ inline std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearM
     default: return finish(BandGroup<kBandGroup>(archive, model, last, offset));
   }
 }
+
+/// offer_linear_run_body compiled for AVX2 (four doubles per instruction,
+/// no FMA) and for the baseline ISA, every call inside it inlined.  Both
+/// return the same hits, score bytes and bad-point counts; the AVX2 entry
+/// may only run where host_has_avx2().
+std::uint64_t offer_linear_run_avx2(const TiledArchive& archive, const LinearModel& model,
+                                    std::size_t x, std::size_t y, std::size_t n,
+                                    TopK<RasterHit>& top, double* sums);
+std::uint64_t offer_linear_run_baseline(const TiledArchive& archive, const LinearModel& model,
+                                        std::size_t x, std::size_t y, std::size_t n,
+                                        TopK<RasterHit>& top, double* sums);
+
+/// Whether this host's CPU and OS run AVX2 code (checked once).
+[[nodiscard]] bool host_has_avx2() noexcept;
+
+}  // namespace detail
+
+/// Scores and offers pixels [x, x+n) of row y with a linear model: see
+/// detail::offer_linear_run_body.  Runs the AVX2 entry on a host that
+/// supports it and the baseline entry otherwise, picked once per process.
+std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& model,
+                               std::size_t x, std::size_t y, std::size_t n, TopK<RasterHit>& top,
+                               double* sums);
+
+/// The instruction set offer_linear_run runs on this host: "avx2" or
+/// "baseline".  Benchmarks stamp it into their reports.
+[[nodiscard]] std::string_view kernel_isa() noexcept;
 
 /// The full-model row kernel under every full scan: scores pixels [x0,x1)
 /// of row y, offering every finite score that reaches the heap's threshold

@@ -29,9 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 
-namespace mmir::obs {
-class MetricsRegistry;
-}  // namespace mmir::obs
+#include "obs/metrics.hpp"
 
 namespace mmir {
 
@@ -109,12 +107,50 @@ struct ShardFaultStats {
   }
 };
 
+/// The engine_shard_* counters a fault-domain execution mirrors its
+/// ShardFaultStats into, resolved from the registry once (by the engine, at
+/// construction) so a faulted scan publishes without a registry lookup.
+class ShardFaultMetrics {
+ public:
+  ShardFaultMetrics() = default;
+  explicit ShardFaultMetrics(obs::MetricsRegistry& registry)
+      : attempts_(registry.counter("engine_shard_attempts_total")),
+        retries_(registry.counter("engine_shard_retries_total")),
+        timeouts_(registry.counter("engine_shard_timeouts_total")),
+        faults_injected_(registry.counter("engine_shard_faults_injected_total")),
+        hedges_(registry.counter("engine_shard_hedges_total")),
+        hedge_wins_(registry.counter("engine_shard_hedge_wins_total")),
+        bounds_widened_(registry.counter("engine_shard_bounds_widened_total")),
+        failed_(registry.counter("engine_shard_failed_total")) {}
+
+  void publish(const ShardFaultStats& stats) const noexcept {
+    attempts_.add(stats.attempts);
+    retries_.add(stats.retries);
+    timeouts_.add(stats.timeouts);
+    faults_injected_.add(stats.faults_injected);
+    hedges_.add(stats.hedges_launched);
+    hedge_wins_.add(stats.hedges_won);
+    bounds_widened_.add(stats.bounds_widened);
+    failed_.add(stats.failed_shards);
+  }
+
+ private:
+  obs::Counter attempts_;
+  obs::Counter retries_;
+  obs::Counter timeouts_;
+  obs::Counter faults_injected_;
+  obs::Counter hedges_;
+  obs::Counter hedge_wins_;
+  obs::Counter bounds_widened_;
+  obs::Counter failed_;
+};
+
 /// Options threaded into the sharded raster executors.  Null or inactive
 /// options select the original scatter-gather path byte-for-byte.
 struct ShardExecOptions {
   ShardFaultPolicy policy;
   ShardChaos* chaos = nullptr;                 ///< borrowed; may be null
-  obs::MetricsRegistry* metrics = nullptr;     ///< engine_shard_* counters; may be null
+  const ShardFaultMetrics* metrics = nullptr;  ///< borrowed; may be null
 
   /// Whether any fault-domain machinery is requested at all.
   [[nodiscard]] bool active() const noexcept {

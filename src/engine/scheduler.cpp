@@ -89,6 +89,8 @@ QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
     batch_batches_metric_ = reg.counter("engine_batch_batches_total");
     batch_members_metric_ = reg.counter("engine_batch_members_total");
     batch_fanin_hist_ = reg.histogram("engine_batch_fanin");
+    meter_counters_ = MeterCounters(reg);
+    shard_fault_metrics_ = ShardFaultMetrics(reg);
   }
   exec_pool_ = std::make_unique<ThreadPool>(config_.intra_query_threads);
   if (config_.result_cache_entries > 0) {
@@ -331,10 +333,8 @@ std::future<Outcome> QueryEngine::enqueue(const char* kind, const JobLimits& lim
       out.exec_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - started);
       exec_time_hist_.observe_duration(out.exec_time);
-      if (config_.metrics != nullptr) {
-        publish(out.meter, *config_.metrics);
-        refresh_cache_gauges();
-      }
+      meter_counters_.publish(out.meter);
+      if (config_.metrics != nullptr) refresh_cache_gauges();
       if (root.active()) {
         root.annotate("exec_ns", static_cast<double>(out.exec_time.count()));
         root.annotate("ops_spent", static_cast<double>(out.meter.ops()));
@@ -479,7 +479,7 @@ std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
         ShardExecOptions shard_options;
         shard_options.policy = config_.shard_fault_policy;
         shard_options.chaos = config_.shard_chaos;
-        shard_options.metrics = config_.metrics;
+        shard_options.metrics = config_.metrics != nullptr ? &shard_fault_metrics_ : nullptr;
         const ShardExecOptions* options = shard_options.active() ? &shard_options : nullptr;
 
         switch (job.mode) {
@@ -764,7 +764,7 @@ void QueryEngine::run_raster_batch(const std::shared_ptr<RasterBatchGroup>& grou
     for (Prepared& p : prepared) {
       p.out.exec_time = exec_time;
       exec_time_hist_.observe_duration(exec_time);
-      if (config_.metrics != nullptr) publish(p.out.meter, *config_.metrics);
+      meter_counters_.publish(p.out.meter);
       if (p.span.active()) {
         p.span.annotate("exec_ns", static_cast<double>(exec_time.count()));
         p.span.annotate("ops_spent", static_cast<double>(p.out.meter.ops()));
@@ -898,7 +898,7 @@ void QueryEngine::run_shard_scan_batch(const std::shared_ptr<ShardScanBatchGroup
           model_leg ? job.progressive->order().size() : job.model->ops_per_evaluation();
       p.out.exec_time = exec_time;
       exec_time_hist_.observe_duration(exec_time);
-      if (config_.metrics != nullptr) publish(p.out.meter, *config_.metrics);
+      meter_counters_.publish(p.out.meter);
       if (p.span.active()) {
         p.span.annotate("exec_ns", static_cast<double>(exec_time.count()));
         p.span.annotate("ops_spent", static_cast<double>(p.out.meter.ops()));

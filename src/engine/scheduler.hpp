@@ -387,6 +387,8 @@ class QueryEngine {
   obs::Counter batch_batches_metric_;
   obs::Counter batch_members_metric_;
   obs::Histogram batch_fanin_hist_;
+  MeterCounters meter_counters_;
+  ShardFaultMetrics shard_fault_metrics_;
 
   // Rolling fault-domain window: one event per sharded execution, newest at
   // the back.  Small (kHealthWindow) and touched once per query, so a plain

@@ -152,18 +152,6 @@ void annotate_leg(const obs::Span& span, const ShardInfo& shard, const LegState&
   if (!leg.ok) span.note("leg_outcome", "dead");
 }
 
-void publish_fault_metrics(obs::MetricsRegistry* registry, const ShardFaultStats& stats) {
-  if (registry == nullptr) return;
-  registry->counter("engine_shard_attempts_total").add(stats.attempts);
-  registry->counter("engine_shard_retries_total").add(stats.retries);
-  registry->counter("engine_shard_timeouts_total").add(stats.timeouts);
-  registry->counter("engine_shard_faults_injected_total").add(stats.faults_injected);
-  registry->counter("engine_shard_hedges_total").add(stats.hedges_launched);
-  registry->counter("engine_shard_hedge_wins_total").add(stats.hedges_won);
-  registry->counter("engine_shard_bounds_widened_total").add(stats.bounds_widened);
-  registry->counter("engine_shard_failed_total").add(stats.failed_shards);
-}
-
 /// Fault-domain scatter-gather: same merge contract as the plain skeleton,
 /// with per-shard attempt loops and (optionally) hedged duplicates.  With
 /// zero injected faults every leg completes cleanly on its first attempt and
@@ -466,7 +454,7 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
   exec::annotate_efficiency(span, sharded.archive(), model_terms, pixels_visited, scan_ops);
   span.annotate("shards", static_cast<double>(count));
   exec::annotate_result(span, out.merged, meter);
-  publish_fault_metrics(options.metrics, stats);
+  if (options.metrics != nullptr) options.metrics->publish(stats);
 
   // A final "gather" child span, created after every shard/hedge span, so
   // EXPLAIN's last-status-note disposition reflects the *merged* verdict and

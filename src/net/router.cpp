@@ -219,6 +219,26 @@ void stitch_remote_trace(const obs::Span& leg_span, std::size_t shard, const Wir
 
 Router::Router(RouterConfig config) : config_(std::move(config)) {
   MMIR_EXPECTS(!config_.ports.empty());
+  if (config_.metrics != nullptr) {
+    obs::MetricsRegistry& reg = *config_.metrics;
+    metrics_.queries = reg.counter("engine_net_queries_total");
+    metrics_.attempts = reg.counter("engine_net_attempts_total");
+    metrics_.retries = reg.counter("engine_net_retries_total");
+    metrics_.timeouts = reg.counter("engine_net_timeouts_total");
+    metrics_.faults_injected = reg.counter("engine_net_faults_injected_total");
+    metrics_.hedges = reg.counter("engine_net_hedges_total");
+    metrics_.hedge_wins = reg.counter("engine_net_hedge_wins_total");
+    metrics_.bounds_widened = reg.counter("engine_net_bounds_widened_total");
+    metrics_.legs_failed = reg.counter("engine_net_legs_failed_total");
+    metrics_.bytes_sent = reg.counter("engine_net_bytes_sent_total");
+    metrics_.bytes_received = reg.counter("engine_net_bytes_received_total");
+    // Labeled family view of the same bytes (the exporter passes the label
+    // block through verbatim), plus the per-leg wire-time distribution the
+    // E14 overhead experiment and ROADMAP item 3 tuning read.
+    metrics_.wire_bytes_sent = reg.counter("engine_net_wire_bytes{direction=\"sent\"}");
+    metrics_.wire_bytes_received = reg.counter("engine_net_wire_bytes{direction=\"received\"}");
+    metrics_.wire_time = reg.histogram("engine_net_wire_time_ns");
+  }
 }
 
 ShardDescription Router::describe_shard(std::uint64_t archive_id, std::uint32_t shard_count,
@@ -650,28 +670,24 @@ RouterResult Router::execute(const RouterQuery& query, QueryContext& ctx, CostMe
     gather.note("status", to_string(out.merged.status));
   }
 
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.metrics;
-    m.counter("engine_net_queries_total").add();
-    m.counter("engine_net_attempts_total").add(stats.attempts);
-    m.counter("engine_net_retries_total").add(stats.retries);
-    m.counter("engine_net_timeouts_total").add(stats.timeouts);
-    m.counter("engine_net_faults_injected_total").add(stats.faults_injected);
-    m.counter("engine_net_hedges_total").add(stats.hedges_launched);
-    m.counter("engine_net_hedge_wins_total").add(stats.hedges_won);
-    m.counter("engine_net_bounds_widened_total").add(stats.bounds_widened);
-    m.counter("engine_net_legs_failed_total").add(stats.failed_shards);
-    m.counter("engine_net_bytes_sent_total").add(res.bytes_sent);
-    m.counter("engine_net_bytes_received_total").add(res.bytes_received);
-    // Labeled family view of the same bytes (the exporter passes the label
-    // block through verbatim), plus the per-leg wire-time distribution the
-    // E14 overhead experiment and ROADMAP item 3 tuning read.
-    m.counter("engine_net_wire_bytes{direction=\"sent\"}").add(res.bytes_sent);
-    m.counter("engine_net_wire_bytes{direction=\"received\"}").add(res.bytes_received);
-    const obs::Histogram wire_hist = m.histogram("engine_net_wire_time_ns");
+  const Metrics& m = metrics_;
+  m.queries.add();
+  m.attempts.add(stats.attempts);
+  m.retries.add(stats.retries);
+  m.timeouts.add(stats.timeouts);
+  m.faults_injected.add(stats.faults_injected);
+  m.hedges.add(stats.hedges_launched);
+  m.hedge_wins.add(stats.hedges_won);
+  m.bounds_widened.add(stats.bounds_widened);
+  m.legs_failed.add(stats.failed_shards);
+  m.bytes_sent.add(res.bytes_sent);
+  m.bytes_received.add(res.bytes_received);
+  m.wire_bytes_sent.add(res.bytes_sent);
+  m.wire_bytes_received.add(res.bytes_received);
+  if (m.wire_time.valid()) {
     for (const std::unique_ptr<Slot>& slot : slots) {
-      if (slot->primary.traced) wire_hist.observe(slot->primary.wire_ns);
-      if (slot->hedge.traced) wire_hist.observe(slot->hedge.wire_ns);
+      if (slot->primary.traced) m.wire_time.observe(slot->primary.wire_ns);
+      if (slot->hedge.traced) m.wire_time.observe(slot->hedge.wire_ns);
     }
   }
 

@@ -142,7 +142,27 @@ class Router {
   /// estimator and returns the refined estimate.
   [[nodiscard]] std::int64_t update_clock(std::uint16_t port, const ClockSample& sample);
 
+  /// engine_net_* registry handles, resolved once at construction; inert
+  /// when config_.metrics is null.
+  struct Metrics {
+    obs::Counter queries;
+    obs::Counter attempts;
+    obs::Counter retries;
+    obs::Counter timeouts;
+    obs::Counter faults_injected;
+    obs::Counter hedges;
+    obs::Counter hedge_wins;
+    obs::Counter bounds_widened;
+    obs::Counter legs_failed;
+    obs::Counter bytes_sent;
+    obs::Counter bytes_received;
+    obs::Counter wire_bytes_sent;
+    obs::Counter wire_bytes_received;
+    obs::Histogram wire_time;
+  };
+
   RouterConfig config_;
+  Metrics metrics_;
   std::atomic<std::uint64_t> query_seq_{1};
 
   mutable std::mutex meta_mutex_;

@@ -96,10 +96,14 @@ void append_chrome_event(std::string& out, const SpanRecord& span, std::uint64_t
   append_u64(out, pid);
   out += ",\"tid\":";
   append_u64(out, tid);
+  // Both endpoints are floored to microseconds and dur is their difference:
+  // flooring ts and dur separately could end a child 1 us after its parent.
+  const std::uint64_t start_us = span.start_ns / 1000;
+  const std::uint64_t end_us = (span.start_ns + span.duration_ns) / 1000;
   out += ",\"ts\":";
-  append_u64(out, span.start_ns / 1000);
+  append_u64(out, start_us);
   out += ",\"dur\":";
-  append_u64(out, span.duration_ns / 1000);
+  append_u64(out, end_us - start_us);
   if (!span.attrs.empty() || !span.notes.empty()) {
     out += ",\"args\":{";
     bool first_arg = true;

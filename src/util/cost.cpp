@@ -3,8 +3,6 @@
 #include <limits>
 #include <ostream>
 
-#include "obs/metrics.hpp"
-
 namespace mmir {
 
 namespace {
@@ -25,13 +23,21 @@ std::ostream& operator<<(std::ostream& os, const CostMeter& meter) {
   return os;
 }
 
-void publish(const CostMeter& meter, obs::MetricsRegistry& registry) {
-  registry.counter("query_points_total").add(meter.points());
-  registry.counter("query_ops_total").add(meter.ops());
-  registry.counter("query_bytes_total").add(meter.bytes());
-  registry.counter("query_pruned_total").add(meter.pruned());
-  registry.counter("cache_hits_total").add(meter.cache_hits());
-  registry.counter("cache_misses_total").add(meter.cache_misses());
+MeterCounters::MeterCounters(obs::MetricsRegistry& registry)
+    : points_(registry.counter("query_points_total")),
+      ops_(registry.counter("query_ops_total")),
+      bytes_(registry.counter("query_bytes_total")),
+      pruned_(registry.counter("query_pruned_total")),
+      cache_hits_(registry.counter("cache_hits_total")),
+      cache_misses_(registry.counter("cache_misses_total")) {}
+
+void MeterCounters::publish(const CostMeter& meter) const noexcept {
+  points_.add(meter.points());
+  ops_.add(meter.ops());
+  bytes_.add(meter.bytes());
+  pruned_.add(meter.pruned());
+  cache_hits_.add(meter.cache_hits());
+  cache_misses_.add(meter.cache_misses());
 }
 
 double SpeedupReport::point_speedup() const noexcept {

@@ -14,12 +14,9 @@
 #include <string>
 
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 
 namespace mmir {
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
 
 /// Accumulates the work performed by one retrieval execution.
 class CostMeter {
@@ -116,11 +113,28 @@ class ScopedTimer : public obs::ScopedTimerBase {
   return total_points * model_terms;
 }
 
-/// Publishes a completed execution's meter into registry-wide totals
+/// Registry-wide totals of completed executions' meters
 /// (query_points_total, query_ops_total, ... — the registry "absorbing" the
 /// ad-hoc CostMeter counters): per-query accounting stays on the meter,
-/// fleet-wide aggregates live in the registry.
-void publish(const CostMeter& meter, obs::MetricsRegistry& registry);
+/// fleet-wide aggregates live in the registry.  The counter handles are
+/// resolved once, at construction, so publishing takes no registry lock;
+/// a default-constructed MeterCounters publishes nowhere.
+class MeterCounters {
+ public:
+  MeterCounters() = default;
+  explicit MeterCounters(obs::MetricsRegistry& registry);
+
+  /// Adds one completed execution's meter to the totals.
+  void publish(const CostMeter& meter) const noexcept;
+
+ private:
+  obs::Counter points_;
+  obs::Counter ops_;
+  obs::Counter bytes_;
+  obs::Counter pruned_;
+  obs::Counter cache_hits_;
+  obs::Counter cache_misses_;
+};
 
 /// Baseline-vs-method comparison, as reported in the paper's evaluation.
 struct SpeedupReport {

@@ -950,7 +950,8 @@ TEST(ChaosObservability, MetricsAndExplainSurfaceTheFaultDomainEvents) {
   policy.max_attempts = 2;
   policy.retry_initial_backoff = std::chrono::microseconds(10);
   obs::MetricsRegistry registry;
-  const ShardExecOptions options{policy, &chaos, &registry};
+  const ShardFaultMetrics metrics(registry);
+  const ShardExecOptions options{policy, &chaos, &metrics};
 
   obs::Tracer tracer(4);
   auto trace = tracer.start_trace("chaos_raster");

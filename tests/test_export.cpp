@@ -325,6 +325,30 @@ TEST(ChromeTraceExport, ParsesAndNestsSpans) {
   EXPECT_EQ(args->find("ops_spent")->number, 42.0);
 }
 
+TEST(ChromeTraceExport, ChildEndingWithItsParentNeverOutlastsIt) {
+  // Root [999, 4000) ns and child [1000, 4000) ns end together.  Flooring ts
+  // and dur separately gave the root [0, 3) us and the child [1, 4) us.
+  obs::Trace trace("raster", 3);
+  const std::size_t root = trace.add_completed_span("query", obs::kNoSpan, 999, 3001);
+  trace.add_completed_span("full_scan", root, 1000, 3000);
+
+  const std::string json = obs::to_chrome_trace(trace);
+  JsonValue doc;
+  ASSERT_TRUE(JsonParser(json).parse(doc)) << json;
+  const JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 2u);
+  const JsonValue& root_event = events->array[0];
+  const JsonValue& child_event = events->array[1];
+  ASSERT_EQ(root_event.find("name")->string, "query");
+  EXPECT_EQ(root_event.find("ts")->number, 0.0);
+  EXPECT_EQ(root_event.find("dur")->number, 4.0);
+  EXPECT_EQ(child_event.find("ts")->number, 1.0);
+  EXPECT_EQ(child_event.find("dur")->number, 3.0);
+  EXPECT_LE(child_event.find("ts")->number + child_event.find("dur")->number,
+            root_event.find("ts")->number + root_event.find("dur")->number);
+}
+
 TEST(ChromeTraceExport, MultipleTracesKeepDistinctTids) {
   obs::Tracer tracer(4);
   for (int i = 0; i < 2; ++i) {

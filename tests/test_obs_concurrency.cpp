@@ -199,5 +199,65 @@ TEST(ObsConcurrency, EngineTracesAreWellFormedSpanTrees) {
   EXPECT_GT(snap.counter("query_points_total"), 0u);
 }
 
+// The engine publishes every completed query's meter into the registry
+// through counter handles it resolved once: with 3 dispatchers publishing at
+// once, each query_*_total / cache_*_total counter must equal the sum of the
+// per-query meters, and the cache counters must agree with the result
+// cache's own (lock-free) stats.
+TEST(ObsConcurrency, QueryTotalsEqualTheSumOfPerQueryMeters) {
+  SceneConfig cfg;
+  cfg.width = 40;
+  cfg.height = 40;
+  cfg.seed = 23;
+  const Scene scene = generate_scene(cfg);
+  const std::vector<const Grid*> bands = {&scene.band("b4"), &scene.band("b5"),
+                                          &scene.band("b7"), &scene.dem};
+  const TiledArchive archive(bands, 8);
+  std::vector<LinearRasterModel> models;
+  for (int m = 0; m < 4; ++m) {
+    models.emplace_back(LinearModel({0.8 - 0.1 * m, -0.4, 0.3, 0.01 * m}, 1.0,
+                                    {"b4", "b5", "b7", "dem"}));
+  }
+
+  obs::MetricsRegistry registry(8);
+  EngineConfig config;
+  config.dispatchers = 3;
+  config.intra_query_threads = 2;
+  config.metrics = &registry;
+  QueryEngine engine(config);
+
+  const RasterJob::Mode modes[] = {RasterJob::Mode::kFullScan, RasterJob::Mode::kTileScreened};
+  std::vector<std::future<RasterOutcome>> futures;
+  for (int i = 0; i < 48; ++i) {  // each (model, mode) pair six times: misses, then hits
+    RasterJob job;
+    job.mode = modes[i % 2];
+    job.archive = &archive;
+    job.model = &models[(i / 2) % models.size()];
+    job.archive_id = 7;  // admits the query to the result cache
+    job.k = 5;
+    futures.push_back(engine.submit(job));
+  }
+  CostMeter sum;
+  for (auto& f : futures) {
+    const RasterOutcome out = f.get();
+    EXPECT_EQ(out.result.status, ResultStatus::kComplete);
+    sum.merge(out.meter);
+  }
+  engine.drain();
+
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_GT(sum.points(), 0u);
+  EXPECT_EQ(snap.counter("query_points_total"), sum.points());
+  EXPECT_EQ(snap.counter("query_ops_total"), sum.ops());
+  EXPECT_EQ(snap.counter("query_bytes_total"), sum.bytes());
+  EXPECT_EQ(snap.counter("query_pruned_total"), sum.pruned());
+  EXPECT_EQ(snap.counter("cache_hits_total"), sum.cache_hits());
+  EXPECT_EQ(snap.counter("cache_misses_total"), sum.cache_misses());
+  const CacheStats cache = engine.result_cache_stats();
+  EXPECT_GT(cache.hits, 0u);
+  EXPECT_EQ(cache.hits, sum.cache_hits());
+  EXPECT_EQ(cache.hits + cache.misses, 48u);
+}
+
 }  // namespace
 }  // namespace mmir

@@ -19,6 +19,13 @@
 // threshold exactly, through every path and under budgets that trip the
 // serial scan mid-run.
 //
+// The pass is compiled twice, for AVX2 and for the baseline ISA
+// (core/exec_kernels.cpp).  Both entries are called directly on archives of
+// every width from 1 to 67 and must return the reference's hits, score bytes
+// and bad points; a contraction canary (a multiply-add that a fused FMA
+// would round differently) must score exactly zero on both entries and on
+// every path.
+//
 // The second half covers the per-pixel path the row kernel keeps for
 // non-linear models (a product of two bands plus a linear tail), alone and
 // in a batch that mixes linear, non-linear and staged members, some of them
@@ -539,6 +546,164 @@ TEST(ScanOracle, RunsTyingTheThresholdExactlyKeepTheCanonicalAnswer) {
       check_budget_trips(archive, model, score);
     }
   }
+}
+
+/// One compiled entry of the fused linear pass (exec::detail).
+using LinearRunEntry = std::uint64_t (*)(const TiledArchive&, const LinearModel&, std::size_t,
+                                         std::size_t, std::size_t, TopK<RasterHit>&, double*);
+
+/// What one entry returns over a whole archive: its hits and bad points.
+struct EntryScan {
+  std::vector<RasterHit> hits;
+  std::uint64_t bad_points = 0;
+};
+
+/// Calls `entry` directly on every row of `archive`, in runs of at most
+/// `run` pixels, into one heap of capacity `k`.
+EntryScan scan_with_entry(LinearRunEntry entry, const TiledArchive& archive,
+                          const LinearModel& model, std::size_t k, std::size_t run) {
+  TopK<RasterHit> top(k);
+  std::vector<double> sums(archive.width());
+  EntryScan out;
+  for (std::size_t y = 0; y < archive.height(); ++y) {
+    for (std::size_t x = 0; x < archive.width(); x += run) {
+      out.bad_points += entry(archive, model, x, y, std::min(run, archive.width() - x), top,
+                              sums.data());
+    }
+  }
+  out.hits = exec::finalize(top);
+  return out;
+}
+
+/// Archives of 1, 3, 4, 5 and 9 bands at every width from 1 to 67 (most no
+/// multiple of the four-double vector or the 16-pixel screen block), three
+/// rows each, with +inf, -inf and NaN samples in every band.
+const std::vector<std::unique_ptr<OracleArchive>>& width_archives() {
+  static const auto pool = [] {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<std::unique_ptr<OracleArchive>> p;
+    Rng rng(1201);
+    for (const std::size_t bands : {1, 3, 4, 5, 9}) {
+      for (std::size_t width = 1; width <= 67; ++width) {
+        std::vector<Grid> grids;
+        for (std::size_t b = 0; b < bands; ++b) {
+          Grid g(width, 3);
+          for (std::size_t y = 0; y < 3; ++y) {
+            for (std::size_t x = 0; x < width; ++x) {
+              const double u = rng.uniform(0.0, 1.0);
+              g.at(x, y) = u < 0.01   ? kInf
+                           : u < 0.02 ? -kInf
+                           : u < 0.03 ? std::numeric_limits<double>::quiet_NaN()
+                                      : rng.uniform(-2.0, 2.0);
+            }
+          }
+          grids.push_back(std::move(g));
+        }
+        p.push_back(std::make_unique<OracleArchive>(
+            std::to_string(bands) + "_bands_width_" + std::to_string(width), std::move(grids),
+            16));
+      }
+    }
+    return p;
+  }();
+  return pool;
+}
+
+/// Checks `entry` against LinearModel::evaluate on every width archive, and
+/// against `twin` (another entry, or null) call by call: equal hits, score
+/// bytes and bad-point counts.  Heap capacities of 1, 5 and 12 fill partway
+/// through the first run; one of every pixel holds every finite score, so
+/// every score's bytes are compared.  Runs are whole rows or 5 pixels.
+void check_entry(LinearRunEntry entry, LinearRunEntry twin) {
+  std::uint64_t seed = 1300;
+  for (const auto& archive_entry : width_archives()) {
+    const TiledArchive& archive = archive_entry->tiled();
+    const std::size_t bands = archive.band_count();
+    const LinearModel models[] = {make_model(seed, bands, false),
+                                  make_model(seed + 1, bands, true), positive_model(bands)};
+    seed += 2;
+    for (const LinearModel& linear : models) {
+      const auto score = [&](std::span<const double> pixel) { return linear.evaluate(pixel); };
+      const std::uint64_t expected_bad =
+          oracle_bad_points(archive, archive.pixel_count(), score);
+      for (const std::size_t k : {std::size_t{1}, std::size_t{5}, kK, archive.pixel_count()}) {
+        const auto expected = oracle_top_k(archive, k, score);
+        for (const std::size_t run : {archive.width(), std::size_t{5}}) {
+          SCOPED_TRACE(testing::Message() << archive_entry->name << " bias " << linear.bias()
+                                          << " k " << k << " run " << run);
+          const EntryScan got = scan_with_entry(entry, archive, linear, k, run);
+          EXPECT_EQ(got.bad_points, expected_bad);
+          expect_oracle_hits(expected, got.hits);
+          if (twin != nullptr) {
+            const EntryScan other = scan_with_entry(twin, archive, linear, k, run);
+            EXPECT_EQ(got.bad_points, other.bad_points);
+            expect_oracle_hits(other.hits, got.hits);
+          }
+        }
+      }
+    }
+  }
+}
+
+constexpr const char* kNoAvx2 =
+    "this host's CPU or OS does not run AVX2 code, so offer_linear_run uses the baseline "
+    "entry only and the AVX2 entry cannot be called";
+
+TEST(ScanOracle, BaselineEntryMatchesTheReferenceAtEveryWidth) {
+  check_entry(&exec::detail::offer_linear_run_baseline, nullptr);
+}
+
+TEST(ScanOracle, Avx2EntryMatchesTheBaselineEntryAndTheReferenceAtEveryWidth) {
+  if (!exec::detail::host_has_avx2()) GTEST_SKIP() << kNoAvx2;
+  EXPECT_EQ(exec::kernel_isa(), "avx2");
+  check_entry(&exec::detail::offer_linear_run_avx2, &exec::detail::offer_linear_run_baseline);
+}
+
+TEST(ScanOracle, ContractionCanaryScoresExactlyZeroOnBothEntriesAndEveryPath) {
+  // w·p + bias with w = 1+2^-30, p = 1-2^-30, bias = -1: the product rounds
+  // to 1 and the score is exactly +0.0, while a fused multiply-add keeps the
+  // product exact (1-2^-60) and scores -2^-60.  The canary term sits at
+  // every band position, after zero terms (0·0 = +0 leaves the sum alone),
+  // so a contraction in any band group of the pass would show.
+  const double eps = std::ldexp(1.0, -30);
+  for (const std::size_t bands : {1, 3, 4, 5, 9}) {
+    for (std::size_t canary = 0; canary < bands; ++canary) {
+      constexpr std::size_t kWidth = 37;
+      constexpr std::size_t kHeight = 5;
+      std::vector<Grid> grids;
+      std::vector<double> weights(bands, 0.0);
+      weights[canary] = 1.0 + eps;
+      for (std::size_t b = 0; b < bands; ++b) {
+        Grid g(kWidth, kHeight);
+        for (std::size_t y = 0; y < kHeight; ++y) {
+          for (std::size_t x = 0; x < kWidth; ++x) g.at(x, y) = b == canary ? 1.0 - eps : 0.0;
+        }
+        grids.push_back(std::move(g));
+      }
+      const OracleArchive entry("canary", std::move(grids), 8);
+      const TiledArchive& archive = entry.tiled();
+      const LinearModel linear(weights, -1.0, {});
+      SCOPED_TRACE(testing::Message() << bands << " bands, canary band " << canary);
+      const auto score = [&](std::span<const double> pixel) { return linear.evaluate(pixel); };
+      const auto expected = oracle_top_k(archive, kK, score);
+      ASSERT_EQ(expected.size(), kK);
+      for (const RasterHit& hit : expected) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(hit.score), 0u) << hit.score;
+      }
+      check_every_path(archive, LinearRasterModel(linear), expected);
+      expect_oracle_hits(
+          expected,
+          scan_with_entry(&exec::detail::offer_linear_run_baseline, archive, linear, kK, kWidth)
+              .hits);
+      if (exec::detail::host_has_avx2()) {
+        expect_oracle_hits(
+            expected,
+            scan_with_entry(&exec::detail::offer_linear_run_avx2, archive, linear, kK, kWidth)
+                .hits);
+      }
+    }
+  }
+  if (!exec::detail::host_has_avx2()) GTEST_SKIP() << "AVX2 half not run: " << kNoAvx2;
 }
 
 TEST(ScanOracle, MixedBatchWithTrippingMembersMatchesSoloRuns) {
