@@ -13,10 +13,9 @@
 # chaos battery (ctest -L chaos) runs under TSan too: hedged duplicate legs
 # racing the primary through the winner CAS, leg cancellation flags, and the
 # urgent-lane thread pool are exactly the interleavings TSan is for.  The
-# batch battery (test_batch_parity) drives the shared-scan path: batch
-# groups forming under batch_mutex_ while dispatchers race the flush, and
-# per-member contexts/meters that must stay unshared across batch-mates.  The
-# net battery (ctest -L net, reduced case count) adds the distributed layer:
+# batch battery (test_batch_parity) drives batched admission: groups forming
+# under batch_mutex_ while dispatchers race to run them, and members answered
+# one by one while their callers already read the outcome.  The net battery (ctest -L net, reduced case count) adds the distributed layer:
 # shard-server connection threads against stop/reap, and router legs racing
 # hedges, cancellation, and the gather join over real sockets — including
 # the stitched-trace suites, where every leg thread grafts a remote span

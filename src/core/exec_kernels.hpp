@@ -1,7 +1,7 @@
 #pragma once
 // Per-tile / per-pixel kernels shared by the serial progressive executors
-// (core/progressive_exec.cpp) and their tile-parallel, sharded and batched
-// variants (engine/).
+// (core/progressive_exec.cpp) and their tile-parallel and sharded variants
+// (engine/).
 //
 // Each kernel scans one pixel rectangle — a tile, a row band, or the whole
 // scene — into a caller-owned TopK accumulator, charging a caller-owned
@@ -10,8 +10,8 @@
 // once per pixel, so workers scanning disjoint rectangles do not contend on
 // it.
 //
-// Every full-model scan — serial, tile-screened, tile-parallel, sharded,
-// remote shard and batched — runs one row kernel, scan_row_full.  For a
+// Every full-model scan — serial, tile-screened, tile-parallel, sharded and
+// remote shard — runs one row kernel, scan_row_full.  For a
 // linear model it scores a run of pixels in one fused pass per group of up
 // to four bands (offer_linear_run): each score is summed in registers as
 // ((bias + w0·p0) + w1·p1) + … in band order, so it is bit-identical to
@@ -61,9 +61,9 @@
 //
 // Offers carry the pixel's row-major position (`pixel_rank`) as the TopK
 // rank, so exact score ties resolve to the canonical (score desc, rank asc)
-// set no matter which order a scan visits pixels: serial, tile-parallel,
-// sharded and batched runs of the same query — and the merge of their
-// partials — return byte-identical results.
+// set no matter which order a scan visits pixels: serial, tile-parallel and
+// sharded runs of the same query — and the merge of their partials — return
+// byte-identical results.
 //
 // How a screened executor gets its tile bounds is decided here alone:
 // screen_tiles() charges and runs the metadata pass for every one of them.
@@ -556,7 +556,7 @@ inline void annotate_result(const obs::Span& span, const RasterTopK& out,
 /// pixels whose evaluation began, and the ops spent inside the scan stage
 /// (excluding the metadata pass).  obs::ExplainReport derives the empirical
 /// pm = visited·N / scan_ops and pd = n / visited from exactly these four,
-/// whichever execution path (serial, parallel, sharded, batched) emitted them.
+/// whichever execution path (serial, parallel, sharded) emitted them.
 inline void annotate_efficiency(const obs::Span& span, const TiledArchive& archive,
                                 std::uint64_t model_terms, std::uint64_t pixels_visited,
                                 std::uint64_t scan_ops) {

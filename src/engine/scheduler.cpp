@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <utility>
 
-#include "engine/batch_exec.hpp"
 #include "obs/stats_server.hpp"
 #include "sproc/brute.hpp"
 #include "sproc/fast_sproc.hpp"
@@ -42,35 +40,15 @@ void mark_shed(CompositeTopK& result) {
 
 }  // namespace
 
-/// A forming shared-scan batch of raster jobs against one archive.  Lives in
-/// open_raster_batches_ from the first member's admission until the flush
-/// task drains it; `closed` stops further joins (fan-in reached, window
-/// expired, or engine stopping).
-struct QueryEngine::RasterBatchGroup {
-  struct Member {
-    RasterJob job;
-    std::shared_ptr<std::promise<RasterOutcome>> promise;
-    std::chrono::steady_clock::time_point submitted_at;
-  };
-  const TiledArchive* archive = nullptr;
+/// A forming batch group on one archive (or sharded archive).  Lives in
+/// open_batches_ from the first member's admission until its task drains
+/// it; `closed` stops further joins (fan-in reached, window expired, or
+/// engine stopping).
+struct QueryEngine::BatchGroup {
+  const void* key = nullptr;
   std::chrono::steady_clock::time_point deadline;
   bool closed = false;
-  std::vector<Member> members;
-};
-
-/// Shard-scan twin of RasterBatchGroup, keyed by the sharded archive: a
-/// shard server submitting many ShardScanJobs against the same fleet member
-/// gets shared scans for free through the engine config it already passes.
-struct QueryEngine::ShardScanBatchGroup {
-  struct Member {
-    ShardScanJob job;
-    std::shared_ptr<std::promise<ShardScanOutcome>> promise;
-    std::chrono::steady_clock::time_point submitted_at;
-  };
-  const ShardedArchive* sharded = nullptr;
-  std::chrono::steady_clock::time_point deadline;
-  bool closed = false;
-  std::vector<Member> members;
+  std::vector<JobRunner> members;  ///< in arrival order
 };
 
 QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
@@ -135,7 +113,7 @@ QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
 
 QueryEngine::~QueryEngine() {
   stats_server_.reset();  // stop serving before the sources drain away
-  // Wake any flush task parked on its batch window so it executes (or sheds)
+  // Wake any batch task parked on its window so it executes (or sheds)
   // before the dispatchers join.  The empty critical section orders the store
   // against a waiter that just evaluated its predicate.
   batch_stop_.store(true, std::memory_order_relaxed);
@@ -280,99 +258,122 @@ void QueryEngine::dispatcher_loop() {
 
 template <typename Outcome, typename Execute>
 std::future<Outcome> QueryEngine::enqueue(const char* kind, const JobLimits& limits,
-                                          Execute execute) {
+                                          Execute execute, const void* batch_key) {
   auto promise = std::make_shared<std::promise<Outcome>>();
   std::future<Outcome> future = promise->get_future();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   jobs_submitted_metric_.add();
   const auto submitted_at = std::chrono::steady_clock::now();
 
-  QueuedTask task;
-  task.run = [this, promise, execute = std::move(execute), kind, limits,
-              submitted_at](bool shed) {
-    Outcome out;
-    if (shed) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_shed_metric_.add();
-      mark_shed(out.result);
-      promise->set_value(std::move(out));
-      return;
-    }
-    out.dispatch_order = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const auto started = std::chrono::steady_clock::now();
-    out.queue_wait =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(started - submitted_at);
-    queue_wait_hist_.observe_duration(out.queue_wait);
-    try {
-      // One trace per dispatched query: the root span covers execution, with
-      // queue wait recorded as an annotation (the span clock starts at
-      // dispatch, not submission).  Executors hang stage spans off the root
-      // via ctx.span(); deeper layers (archive/io retries) reach it through
-      // the SpanScope's thread-local hook.
-      std::shared_ptr<obs::Trace> trace;
-      obs::Span root;
-      if (config_.tracer != nullptr) {
-        trace = config_.tracer->start_trace(kind);
-        root = obs::Span(trace.get(), "query");
-        root.annotate("query_id", static_cast<double>(trace->id()));
-        root.annotate("queue_wait_ns", static_cast<double>(out.queue_wait.count()));
-        root.annotate("priority", static_cast<double>(limits.priority));
-        root.annotate("dispatch_order", static_cast<double>(out.dispatch_order));
-        if (limits.op_budget != std::numeric_limits<std::uint64_t>::max()) {
-          root.annotate("op_budget", static_cast<double>(limits.op_budget));
-        }
-        if (limits.timeout.count() > 0) {
-          root.annotate("timeout_ns", static_cast<double>(limits.timeout.count()));
-        }
-      }
-      obs::SpanScope scope(root);
-      QueryContext ctx;
-      configure_context(ctx, limits, submitted_at);
-      if (root.active()) ctx.with_span(&root);
-      execute(ctx, out);
-      out.exec_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - started);
-      exec_time_hist_.observe_duration(out.exec_time);
-      meter_counters_.publish(out.meter);
-      if (config_.metrics != nullptr) refresh_cache_gauges();
-      if (root.active()) {
-        root.annotate("exec_ns", static_cast<double>(out.exec_time.count()));
-        root.annotate("ops_spent", static_cast<double>(out.meter.ops()));
-        root.annotate("cache_hits", static_cast<double>(out.meter.cache_hits()));
-        root.annotate("cache_misses", static_cast<double>(out.meter.cache_misses()));
-        if (out.cache_hit) root.note("result_cache", "hit");
-        root.finish();
-      }
-      if (trace != nullptr) {
-        out.trace = trace;
-        config_.tracer->finish(std::move(trace));
-      }
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_completed_metric_.add();
-      promise->set_value(std::move(out));
-    } catch (...) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_failed_metric_.add();
-      promise->set_exception(std::current_exception());
-    }
+  auto run = [this, promise, execute = std::move(execute), kind, limits, submitted_at](
+                 bool shed, BatchTrace* batch) {
+    run_job(*promise, kind, limits, submitted_at, execute, shed, batch);
   };
+  if (batch_key != nullptr && config_.batch_max_fanin > 1) {
+    join_batch(batch_key, limits.priority, submitted_at, JobRunner(std::move(run)));
+  } else {
+    QueuedTask task;
+    task.run = [run = std::move(run)](bool shed) { run(shed, nullptr); };
+    admit(limits.priority, std::move(task));
+  }
+  return future;
+}
 
-  bool admit = false;
+template <typename Outcome, typename Execute>
+void QueryEngine::run_job(std::promise<Outcome>& promise, const char* kind,
+                          const JobLimits& limits,
+                          std::chrono::steady_clock::time_point submitted_at,
+                          const Execute& execute, bool shed, BatchTrace* batch) {
+  Outcome out;
+  if (shed) {
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    jobs_shed_metric_.add();
+    mark_shed(out.result);
+    promise.set_value(std::move(out));
+    return;
+  }
+  out.dispatch_order = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const auto started = std::chrono::steady_clock::now();
+  out.queue_wait = std::chrono::duration_cast<std::chrono::nanoseconds>(started - submitted_at);
+  queue_wait_hist_.observe_duration(out.queue_wait);
+  try {
+    // One trace per dispatched query, or one `member` span under its batch's
+    // root: the span covers execution, with queue wait recorded as an
+    // annotation (the span clock starts at dispatch, not submission).
+    // Executors hang stage spans off it via ctx.span(); deeper layers
+    // (archive/io retries) reach it through the SpanScope's thread-local hook.
+    std::shared_ptr<obs::Trace> trace;
+    obs::Span span;
+    if (batch != nullptr) {
+      span = obs::Span::child_of(&batch->root, "member");
+      span.annotate("member", static_cast<double>(batch->members_run++));
+    } else if (config_.tracer != nullptr) {
+      trace = config_.tracer->start_trace(kind);
+      span = obs::Span(trace.get(), "query");
+      span.annotate("query_id", static_cast<double>(trace->id()));
+    }
+    if (span.active()) {
+      span.annotate("queue_wait_ns", static_cast<double>(out.queue_wait.count()));
+      span.annotate("priority", static_cast<double>(limits.priority));
+      span.annotate("dispatch_order", static_cast<double>(out.dispatch_order));
+      if (limits.op_budget != std::numeric_limits<std::uint64_t>::max()) {
+        span.annotate("op_budget", static_cast<double>(limits.op_budget));
+      }
+      if (limits.timeout.count() > 0) {
+        span.annotate("timeout_ns", static_cast<double>(limits.timeout.count()));
+      }
+    }
+    obs::SpanScope scope(span);
+    QueryContext ctx;
+    configure_context(ctx, limits, submitted_at);
+    if (span.active()) ctx.with_span(&span);
+    execute(ctx, out);
+    out.budget_spent = ctx.spent();
+    out.exec_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - started);
+    exec_time_hist_.observe_duration(out.exec_time);
+    meter_counters_.publish(out.meter);
+    if (config_.metrics != nullptr) refresh_cache_gauges();
+    if (span.active()) {
+      span.annotate("exec_ns", static_cast<double>(out.exec_time.count()));
+      span.annotate("ops_spent", static_cast<double>(out.meter.ops()));
+      span.annotate("cache_hits", static_cast<double>(out.meter.cache_hits()));
+      span.annotate("cache_misses", static_cast<double>(out.meter.cache_misses()));
+      if (out.cache_hit) span.note("result_cache", "hit");
+      span.finish();
+    }
+    if (trace != nullptr) {
+      out.trace = trace;
+      config_.tracer->finish(std::move(trace));
+    } else if (batch != nullptr) {
+      out.trace = batch->trace;
+    }
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    jobs_completed_metric_.add();
+    promise.set_value(std::move(out));
+  } catch (...) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    jobs_failed_metric_.add();
+    promise.set_exception(std::current_exception());
+  }
+}
+
+void QueryEngine::admit(Priority priority, QueuedTask task) {
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (!stopping_ && queued_ < config_.queue_capacity) {
-      queues_[static_cast<std::size_t>(limits.priority)].push_back(std::move(task));
+      queues_[static_cast<std::size_t>(priority)].push_back(std::move(task));
       ++queued_;
       queue_depth_gauge_.set(static_cast<std::int64_t>(queued_));
-      admit = true;
+      admitted = true;
     }
   }
-  if (admit) {
+  if (admitted) {
     queue_cv_.notify_one();
   } else {
     task.run(true);  // admission control: shed without dispatching
   }
-  return future;
 }
 
 std::optional<QueryCacheKey> QueryEngine::result_key(RasterJob::Mode mode,
@@ -404,8 +405,6 @@ std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
   } else {
     MMIR_EXPECTS(job.model != nullptr);
   }
-  if (config_.batch_max_fanin > 1) return submit_batched(std::move(job));
-
   return enqueue<RasterOutcome>(
       "raster", job.limits, [this, job](QueryContext& ctx, RasterOutcome& out) {
         const auto key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
@@ -444,7 +443,8 @@ std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
         if (key && !is_truncated(out.result.status)) {
           result_cache_->put(*key, std::make_shared<const RasterTopK>(out.result));
         }
-      });
+      },
+      job.archive);
 }
 
 std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
@@ -524,124 +524,47 @@ std::future<ShardScanOutcome> QueryEngine::submit(ShardScanJob job) {
   } else {
     MMIR_EXPECTS(job.model != nullptr);
   }
-  if (config_.batch_max_fanin > 1) return submit_batched(std::move(job));
   return enqueue<ShardScanOutcome>(
-      "shard_scan", job.limits, [job](QueryContext& ctx, ShardScanOutcome& out) {
+      "shard_scan", job.limits,
+      [job](QueryContext& ctx, ShardScanOutcome& out) {
         out.result = scan_shard_partial(*job.sharded, job.shard_id, job.mode, job.model,
                                         job.progressive, job.k, ctx, out.meter);
-      });
+      },
+      job.sharded);
 }
 
-std::future<RasterOutcome> QueryEngine::submit_batched(RasterJob job) {
-  auto promise = std::make_shared<std::promise<RasterOutcome>>();
-  std::future<RasterOutcome> future = promise->get_future();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  jobs_submitted_metric_.add();
-  const auto submitted_at = std::chrono::steady_clock::now();
-  const TiledArchive* archive = job.archive;
-
+void QueryEngine::join_batch(const void* key, Priority priority,
+                             std::chrono::steady_clock::time_point submitted_at,
+                             JobRunner member) {
+  std::shared_ptr<BatchGroup> group;
   {
     std::lock_guard<std::mutex> lock(batch_mutex_);
-    auto it = open_raster_batches_.find(archive);
-    if (it != open_raster_batches_.end()) {
-      RasterBatchGroup& group = *it->second;
-      group.members.push_back({std::move(job), std::move(promise), submitted_at});
-      if (group.members.size() >= config_.batch_max_fanin) {
-        group.closed = true;
-        open_raster_batches_.erase(it);
+    auto it = open_batches_.find(key);
+    if (it != open_batches_.end()) {
+      BatchGroup& open = *it->second;
+      open.members.push_back(std::move(member));
+      if (open.members.size() >= config_.batch_max_fanin) {
+        open.closed = true;
+        open_batches_.erase(it);
         batch_cv_.notify_all();
       }
-      return future;
+      return;
     }
+    // First member on this key: open a group and enqueue ONE task for the
+    // whole group; joiners ride along without consuming queue slots.
+    group = std::make_shared<BatchGroup>();
+    group->key = key;
+    group->deadline = submitted_at + config_.batch_window;
+    group->members.push_back(std::move(member));
+    open_batches_.emplace(key, group);
   }
-
-  // First member on this archive: open a group and enqueue ONE flush task for
-  // the whole batch — joiners ride along without consuming queue slots.
-  auto group = std::make_shared<RasterBatchGroup>();
-  group->archive = archive;
-  group->deadline = submitted_at + config_.batch_window;
-  const Priority priority = job.limits.priority;
-  group->members.push_back({std::move(job), std::move(promise), submitted_at});
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    open_raster_batches_.emplace(archive, group);
-  }
-
   QueuedTask task;
-  task.run = [this, group](bool shed) { run_raster_batch(group, shed); };
-  bool admit = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!stopping_ && queued_ < config_.queue_capacity) {
-      queues_[static_cast<std::size_t>(priority)].push_back(std::move(task));
-      ++queued_;
-      queue_depth_gauge_.set(static_cast<std::int64_t>(queued_));
-      admit = true;
-    }
-  }
-  if (admit) {
-    queue_cv_.notify_one();
-  } else {
-    task.run(true);  // admission control: shed the whole group
-  }
-  return future;
+  task.run = [this, group](bool shed) { run_batch(group, shed); };
+  admit(priority, std::move(task));
 }
 
-std::future<ShardScanOutcome> QueryEngine::submit_batched(ShardScanJob job) {
-  auto promise = std::make_shared<std::promise<ShardScanOutcome>>();
-  std::future<ShardScanOutcome> future = promise->get_future();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  jobs_submitted_metric_.add();
-  const auto submitted_at = std::chrono::steady_clock::now();
-  const ShardedArchive* sharded = job.sharded;
-
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    auto it = open_shard_batches_.find(sharded);
-    if (it != open_shard_batches_.end()) {
-      ShardScanBatchGroup& group = *it->second;
-      group.members.push_back({std::move(job), std::move(promise), submitted_at});
-      if (group.members.size() >= config_.batch_max_fanin) {
-        group.closed = true;
-        open_shard_batches_.erase(it);
-        batch_cv_.notify_all();
-      }
-      return future;
-    }
-  }
-
-  auto group = std::make_shared<ShardScanBatchGroup>();
-  group->sharded = sharded;
-  group->deadline = submitted_at + config_.batch_window;
-  const Priority priority = job.limits.priority;
-  group->members.push_back({std::move(job), std::move(promise), submitted_at});
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    open_shard_batches_.emplace(sharded, group);
-  }
-
-  QueuedTask task;
-  task.run = [this, group](bool shed) { run_shard_scan_batch(group, shed); };
-  bool admit = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!stopping_ && queued_ < config_.queue_capacity) {
-      queues_[static_cast<std::size_t>(priority)].push_back(std::move(task));
-      ++queued_;
-      queue_depth_gauge_.set(static_cast<std::int64_t>(queued_));
-      admit = true;
-    }
-  }
-  if (admit) {
-    queue_cv_.notify_one();
-  } else {
-    task.run(true);
-  }
-  return future;
-}
-
-void QueryEngine::run_raster_batch(const std::shared_ptr<RasterBatchGroup>& group, bool shed) {
-  std::vector<RasterBatchGroup::Member> members;
+void QueryEngine::run_batch(const std::shared_ptr<BatchGroup>& group, bool shed) {
+  std::vector<JobRunner> members;
   {
     std::unique_lock<std::mutex> lock(batch_mutex_);
     if (!shed && !group->closed && config_.batch_window.count() > 0) {
@@ -650,279 +573,33 @@ void QueryEngine::run_raster_batch(const std::shared_ptr<RasterBatchGroup>& grou
       });
     }
     group->closed = true;
-    auto it = open_raster_batches_.find(group->archive);
-    if (it != open_raster_batches_.end() && it->second == group) open_raster_batches_.erase(it);
+    auto it = open_batches_.find(group->key);
+    if (it != open_batches_.end() && it->second == group) open_batches_.erase(it);
     members = std::move(group->members);
   }
   if (members.empty()) return;
   if (shed) {
-    for (auto& member : members) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_shed_metric_.add();
-      RasterOutcome out;
-      mark_shed(out.result);
-      member.promise->set_value(std::move(out));
-    }
+    for (JobRunner& member : members) member(true, nullptr);
     return;
   }
 
-  const auto started = std::chrono::steady_clock::now();
   batch_batches_metric_.add();
   batch_members_metric_.add(members.size());
   batch_fanin_hist_.observe(members.size());
-  const TiledArchive& archive = *group->archive;
-
-  // One trace for the whole batch: the root "batch" span carries the fan-in,
-  // each member hangs its own child span (with the solo span vocabulary) off
-  // it, and every member outcome shares the trace.
-  std::shared_ptr<obs::Trace> trace;
-  obs::Span root;
+  // One trace for the whole group: the root "batch" span carries the fan-in
+  // and each member hangs its own child span (the solo span vocabulary) off
+  // it.  Members run back to back through the solo job body, and each is
+  // answered the moment its own scan ends.
+  BatchTrace batch;
   if (config_.tracer != nullptr) {
-    trace = config_.tracer->start_trace("batch");
-    root = obs::Span(trace.get(), "batch");
-    root.annotate("query_id", static_cast<double>(trace->id()));
-    root.annotate("fan_in", static_cast<double>(members.size()));
+    batch.trace = config_.tracer->start_trace("batch");
+    batch.root = obs::Span(batch.trace.get(), "batch");
+    batch.root.annotate("query_id", static_cast<double>(batch.trace->id()));
+    batch.root.annotate("fan_in", static_cast<double>(members.size()));
   }
-  obs::SpanScope scope(root);
-
-  // QueryContext is pinned (non-movable); deque never relocates elements, so
-  // the pointers handed to batch_scan stay valid as members are prepared.
-  struct Prepared {
-    RasterOutcome out;
-    QueryContext ctx;
-    obs::Span span;
-    std::optional<QueryCacheKey> cache_key;
-    bool skip = false;  // result-cache hit: not part of the scan
-  };
-  std::deque<Prepared> prepared;
-  std::vector<BatchMemberSpec> specs;
-  std::vector<std::size_t> spec_member;  // spec index -> member index
-
-  try {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const RasterJob& job = members[i].job;
-      Prepared& p = prepared.emplace_back();
-      p.out.dispatch_order = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-      p.out.queue_wait = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          started - members[i].submitted_at);
-      queue_wait_hist_.observe_duration(p.out.queue_wait);
-      if (root.active()) {
-        p.span = obs::Span::child_of(&root, "member");
-        p.span.annotate("member", static_cast<double>(i));
-        p.span.annotate("queue_wait_ns", static_cast<double>(p.out.queue_wait.count()));
-        p.span.annotate("priority", static_cast<double>(job.limits.priority));
-        p.span.annotate("dispatch_order", static_cast<double>(p.out.dispatch_order));
-        if (job.limits.op_budget != std::numeric_limits<std::uint64_t>::max()) {
-          p.span.annotate("op_budget", static_cast<double>(job.limits.op_budget));
-        }
-        if (job.limits.timeout.count() > 0) {
-          p.span.annotate("timeout_ns", static_cast<double>(job.limits.timeout.count()));
-        }
-      }
-      configure_context(p.ctx, job.limits, members[i].submitted_at);
-      if (p.span.active()) p.ctx.with_span(&p.span);
-
-      p.cache_key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
-                               job.model_fingerprint, 0);
-      if (p.cache_key) {
-        if (auto hit = result_cache_->get(*p.cache_key)) {
-          p.out.result = **hit;
-          p.out.cache_hit = true;
-          p.out.meter.add_cache_hits();
-          p.skip = true;
-          continue;
-        }
-        p.out.meter.add_cache_misses();
-      }
-
-      BatchMemberSpec spec;
-      spec.mode = static_cast<BatchScanMode>(job.mode);
-      spec.model = job.model;
-      spec.progressive = job.progressive;
-      spec.k = job.k;
-      spec.ctx = &p.ctx;
-      spec.meter = &p.out.meter;
-      if (p.span.active()) spec.span = &p.span;
-      specs.push_back(spec);
-      spec_member.push_back(i);
-    }
-
-    std::vector<BatchMemberResult> results =
-        batch_scan(archive, std::span<const BatchMemberSpec>(specs));
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      Prepared& p = prepared[spec_member[s]];
-      p.out.result = std::move(results[s].result);
-      // Same admissibility rule as solo: budget/deadline-truncated answers
-      // would poison future lookups.
-      if (p.cache_key && !is_truncated(p.out.result.status)) {
-        result_cache_->put(*p.cache_key, std::make_shared<const RasterTopK>(p.out.result));
-      }
-    }
-
-    const auto exec_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - started);
-    for (Prepared& p : prepared) {
-      p.out.exec_time = exec_time;
-      exec_time_hist_.observe_duration(exec_time);
-      meter_counters_.publish(p.out.meter);
-      if (p.span.active()) {
-        p.span.annotate("exec_ns", static_cast<double>(exec_time.count()));
-        p.span.annotate("ops_spent", static_cast<double>(p.out.meter.ops()));
-        p.span.annotate("cache_hits", static_cast<double>(p.out.meter.cache_hits()));
-        p.span.annotate("cache_misses", static_cast<double>(p.out.meter.cache_misses()));
-        if (p.out.cache_hit) p.span.note("result_cache", "hit");
-        p.span.finish();
-      }
-    }
-    if (config_.metrics != nullptr) refresh_cache_gauges();
-    if (root.active()) root.finish();
-    if (trace != nullptr) {
-      for (Prepared& p : prepared) p.out.trace = trace;
-      config_.tracer->finish(std::move(trace));
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_completed_metric_.add();
-      members[i].promise->set_value(std::move(prepared[i].out));
-    }
-  } catch (...) {
-    for (auto& member : members) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_failed_metric_.add();
-      member.promise->set_exception(std::current_exception());
-    }
-  }
-}
-
-void QueryEngine::run_shard_scan_batch(const std::shared_ptr<ShardScanBatchGroup>& group,
-                                       bool shed) {
-  std::vector<ShardScanBatchGroup::Member> members;
-  {
-    std::unique_lock<std::mutex> lock(batch_mutex_);
-    if (!shed && !group->closed && config_.batch_window.count() > 0) {
-      batch_cv_.wait_until(lock, group->deadline, [&] {
-        return group->closed || batch_stop_.load(std::memory_order_relaxed);
-      });
-    }
-    group->closed = true;
-    auto it = open_shard_batches_.find(group->sharded);
-    if (it != open_shard_batches_.end() && it->second == group) open_shard_batches_.erase(it);
-    members = std::move(group->members);
-  }
-  if (members.empty()) return;
-  if (shed) {
-    for (auto& member : members) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_shed_metric_.add();
-      ShardScanOutcome out;
-      mark_shed(out.result);
-      member.promise->set_value(std::move(out));
-    }
-    return;
-  }
-
-  const auto started = std::chrono::steady_clock::now();
-  batch_batches_metric_.add();
-  batch_members_metric_.add(members.size());
-  batch_fanin_hist_.observe(members.size());
-  const ShardedArchive& sharded = *group->sharded;
-  const TiledArchive& archive = sharded.archive();
-
-  std::shared_ptr<obs::Trace> trace;
-  obs::Span root;
-  if (config_.tracer != nullptr) {
-    trace = config_.tracer->start_trace("batch");
-    root = obs::Span(trace.get(), "batch");
-    root.annotate("query_id", static_cast<double>(trace->id()));
-    root.annotate("fan_in", static_cast<double>(members.size()));
-  }
-  obs::SpanScope scope(root);
-
-  struct Prepared {
-    ShardScanOutcome out;
-    QueryContext ctx;
-    obs::Span span;
-  };
-  std::deque<Prepared> prepared;
-  std::vector<BatchMemberSpec> specs;
-
-  try {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const ShardScanJob& job = members[i].job;
-      const ShardInfo& shard = sharded.shard(job.shard_id);
-      Prepared& p = prepared.emplace_back();
-      p.out.dispatch_order = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-      p.out.queue_wait = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          started - members[i].submitted_at);
-      queue_wait_hist_.observe_duration(p.out.queue_wait);
-      if (root.active()) {
-        p.span = obs::Span::child_of(&root, "shard_" + std::to_string(job.shard_id));
-        p.span.annotate("member", static_cast<double>(i));
-        p.span.annotate("shard", static_cast<double>(job.shard_id));
-        p.span.annotate("queue_wait_ns", static_cast<double>(p.out.queue_wait.count()));
-      }
-      configure_context(p.ctx, job.limits, members[i].submitted_at);
-      if (p.span.active()) p.ctx.with_span(&p.span);
-
-      BatchMemberSpec spec;
-      spec.mode = static_cast<BatchScanMode>(job.mode);
-      spec.model = job.model;
-      spec.progressive = job.progressive;
-      spec.k = job.k;
-      spec.ctx = &p.ctx;
-      spec.meter = &p.out.meter;
-      spec.tile_subset = &shard.tiles;
-      spec.domain_ranges = &shard.band_ranges;
-      spec.domain_bad_pixels = shard.bad_pixels;
-      if (p.span.active()) spec.span = &p.span;
-      specs.push_back(spec);
-    }
-
-    std::vector<BatchMemberResult> results =
-        batch_scan(archive, std::span<const BatchMemberSpec>(specs));
-    const auto exec_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - started);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const ShardScanJob& job = members[i].job;
-      Prepared& p = prepared[i];
-      BatchMemberResult& r = results[i];
-      p.out.result.partial.shard_id = job.shard_id;
-      p.out.result.partial.result = std::move(r.result);
-      p.out.result.partial.pixels_visited = r.pixels_visited;
-      p.out.result.partial.tiles_scanned = r.tiles_scanned;
-      p.out.result.partial.tiles_pruned = r.tiles_pruned;
-      p.out.result.scan_ops = r.scan_ops;
-      const bool model_leg =
-          job.mode == ShardScanMode::kProgressiveModel || job.mode == ShardScanMode::kCombined;
-      p.out.result.model_terms =
-          model_leg ? job.progressive->order().size() : job.model->ops_per_evaluation();
-      p.out.exec_time = exec_time;
-      exec_time_hist_.observe_duration(exec_time);
-      meter_counters_.publish(p.out.meter);
-      if (p.span.active()) {
-        p.span.annotate("exec_ns", static_cast<double>(exec_time.count()));
-        p.span.annotate("ops_spent", static_cast<double>(p.out.meter.ops()));
-        p.span.finish();
-      }
-    }
-    if (config_.metrics != nullptr) refresh_cache_gauges();
-    if (root.active()) root.finish();
-    if (trace != nullptr) {
-      for (Prepared& p : prepared) p.out.trace = trace;
-      config_.tracer->finish(std::move(trace));
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_completed_metric_.add();
-      members[i].promise->set_value(std::move(prepared[i].out));
-    }
-  } catch (...) {
-    for (auto& member : members) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      jobs_failed_metric_.add();
-      member.promise->set_exception(std::current_exception());
-    }
-  }
+  for (JobRunner& member : members) member(false, &batch);
+  batch.root.finish();
+  if (batch.trace != nullptr) config_.tracer->finish(std::move(batch.trace));
 }
 
 std::future<OnionOutcome> QueryEngine::submit(OnionJob job) {

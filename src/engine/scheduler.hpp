@@ -68,16 +68,16 @@ struct EngineConfig {
   std::size_t queue_capacity = 64;      ///< pending jobs before shedding
   std::size_t result_cache_entries = 256;  ///< whole-query results (0 disables)
   std::size_t cache_shards = 8;
-  /// Shared-scan batching (engine/batch_exec.hpp): compatible raster /
-  /// shard-scan jobs targeting the same archive admitted while a batch is
-  /// open execute as ONE shared tile scan — each tile row read once while
-  /// every member scores it, per-member attribution and fault envelopes
-  /// intact, results byte-identical to solo runs.  1 (the
+  /// Batched admission: raster / shard-scan jobs on the same archive that
+  /// arrive while a group is open share ONE queue slot and run back to back
+  /// on one dispatcher, in arrival order.  Each member runs the solo job body
+  /// (result cache, executor, accounting) and is answered as soon as its own
+  /// scan ends, so its result is byte-identical to a solo run.  1 (the
   /// default) disables batching entirely; N > 1 caps the fan-in at N.
   std::size_t batch_max_fanin = 1;
-  /// Once a dispatcher picks up an open batch, how long it keeps waiting for
-  /// batch-mates before flushing.  0 flushes immediately — batches then form
-  /// only out of queue pressure (jobs that joined while the flush task
+  /// Once a dispatcher picks up an open group, how long it keeps waiting for
+  /// batch-mates before running it.  0 runs it immediately — groups then form
+  /// only out of queue pressure (jobs that joined while the group's task
   /// waited behind the dispatchers, or during an explicit pause()).
   std::chrono::nanoseconds batch_window{0};
   bool start_paused = false;  ///< admit but do not dispatch until resume()
@@ -196,10 +196,15 @@ struct OutcomeInfo {
   std::uint64_t dispatch_order = 0;  ///< 0 for shed jobs (never dispatched)
   std::chrono::nanoseconds queue_wait{0};
   std::chrono::nanoseconds exec_time{0};
+  /// Work units the query's context booked: what it spent, plus the request
+  /// it was refused when its budget tripped.  0 for cache hits and shed jobs.
+  std::uint64_t budget_spent = 0;
   /// The query's completed trace when the engine has a tracer; null
   /// otherwise.  Handed to the caller directly (not via Tracer::latest())
   /// so concurrent dispatchers can't hand back someone else's trace — the
-  /// shard server serializes this tree into its reply.
+  /// shard server serializes this tree into its reply.  A batched member
+  /// gets its group's `batch` trace, which may still be recording the
+  /// members after it when the member is answered.
   std::shared_ptr<const obs::Trace> trace;
 
   [[nodiscard]] std::chrono::nanoseconds latency() const noexcept {
@@ -301,8 +306,38 @@ class QueryEngine {
     std::function<void(bool shed)> run;
   };
 
+  /// The trace a batch group's members run under: one `batch` root span, one
+  /// `member` child per member.  Inert when the engine has no tracer.
+  struct BatchTrace {
+    std::shared_ptr<obs::Trace> trace;
+    obs::Span root;
+    std::size_t members_run = 0;
+  };
+
+  /// One admitted job, type-erased: run(shed, batch) sheds it, or executes
+  /// it under its own `query` trace (batch null) or as the next member of
+  /// `batch`.
+  using JobRunner = std::function<void(bool shed, BatchTrace* batch)>;
+
+  /// Admits `execute` (the job body: result cache, executor, cache put) as
+  /// one job.  With batching on and a non-null `batch_key` (the archive the
+  /// job scans), the job joins that key's open group instead of taking a
+  /// queue slot of its own.
   template <typename Outcome, typename Execute>
-  std::future<Outcome> enqueue(const char* kind, const JobLimits& limits, Execute execute);
+  std::future<Outcome> enqueue(const char* kind, const JobLimits& limits, Execute execute,
+                               const void* batch_key = nullptr);
+
+  /// The per-job envelope every dispatched job runs, solo or batched: queue
+  /// wait to its own start, context, span, execution, accounting, and the
+  /// promise fulfilled with the outcome or the job's own exception.
+  template <typename Outcome, typename Execute>
+  void run_job(std::promise<Outcome>& promise, const char* kind, const JobLimits& limits,
+               std::chrono::steady_clock::time_point submitted_at, const Execute& execute,
+               bool shed, BatchTrace* batch);
+
+  /// Queues `task` at `priority`, or sheds it when the queue is full or the
+  /// engine is stopping.
+  void admit(Priority priority, QueuedTask task);
 
   void dispatcher_loop();
   void configure_context(QueryContext& ctx, const JobLimits& limits,
@@ -316,20 +351,19 @@ class QueryEngine {
   /// window (bounded at kHealthWindow; oldest evicted).
   void record_shard_health(std::uint64_t layout_tag, const ShardFaultStats& stats);
 
-  // ---- Shared-scan batching (config_.batch_max_fanin > 1) --------------
-  // One open group per archive: the first member registers the group and
-  // enqueues a single flush task (one queue slot per batch, however many
-  // members join); later compatible submissions join for free until the
-  // fan-in cap closes the group.  The flush task waits out batch_window for
-  // stragglers, then runs every member through one engine/batch_exec.hpp
-  // shared scan with per-member contexts, meters, cache traffic and spans.
-  struct RasterBatchGroup;
-  struct ShardScanBatchGroup;
+  // ---- Batched admission (config_.batch_max_fanin > 1) -----------------
+  // One open group per archive or sharded archive: the first member
+  // registers the group and enqueues a single task (one queue slot per
+  // group, however many members join); later submissions on the same
+  // archive join for free until the fan-in cap closes the group.  The task
+  // waits out batch_window for stragglers, then runs the members back to
+  // back through run_job, in arrival order, answering each as its own scan
+  // ends.
+  struct BatchGroup;
 
-  std::future<RasterOutcome> submit_batched(RasterJob job);
-  std::future<ShardScanOutcome> submit_batched(ShardScanJob job);
-  void run_raster_batch(const std::shared_ptr<RasterBatchGroup>& group, bool shed);
-  void run_shard_scan_batch(const std::shared_ptr<ShardScanBatchGroup>& group, bool shed);
+  void join_batch(const void* key, Priority priority,
+                  std::chrono::steady_clock::time_point submitted_at, JobRunner member);
+  void run_batch(const std::shared_ptr<BatchGroup>& group, bool shed);
 
   /// Result-cache key of a raster query, or nullopt when it is uncacheable:
   /// no archive id, no model fingerprint (the caller's override, else derived
@@ -357,15 +391,13 @@ class QueryEngine {
   bool stopping_ = false;
 
   // Batch formation state; groups live here between the first member's
-  // admission and the flush task's execution.  batch_cv_ wakes flush tasks
-  // waiting out their window when a group closes (fan-in reached) or the
-  // engine stops.
+  // admission and their task's execution.  batch_cv_ wakes tasks waiting
+  // out their window when a group closes (fan-in reached) or the engine
+  // stops.
   std::mutex batch_mutex_;
   std::condition_variable batch_cv_;
   std::atomic<bool> batch_stop_{false};
-  std::unordered_map<const TiledArchive*, std::shared_ptr<RasterBatchGroup>> open_raster_batches_;
-  std::unordered_map<const ShardedArchive*, std::shared_ptr<ShardScanBatchGroup>>
-      open_shard_batches_;
+  std::unordered_map<const void*, std::shared_ptr<BatchGroup>> open_batches_;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -1,17 +1,21 @@
-// Generator-driven fuzz-parity battery for batched shared-scan execution.
+// Generator-driven fuzz-parity battery for batched admission.
 //
 // Hundreds of seeded cases drawn from the procedural scenario generator
-// (src/testing/scenario_gen.hpp) run through three lenses:
+// (src/testing/scenario_gen.hpp) run through four lenses:
 //
-//   1. direct batch_scan() calls at fan-in 1/4/16/64 — every member's result
-//      must be byte-identical to its solo serial run, its CostMeter must not
+//   1. QueryEngine groups at fan-in 1/4/16/64 — every member's result, meter
+//      and budget books must equal its solo serial run's, its bill must not
 //      bleed across members (identical at every fan-in), and budget-tripped
-//      members must certify a sound prefix without disturbing batch-mates;
+//      members must trip on their own unit and certify a sound prefix while
+//      their batch-mates complete;
 //   2. the QueryEngine's batched admission at batch sizes 1/4/16/64 and
 //      1/2/4 dispatchers — the full production path, including the result
 //      cache and the `batch` EXPLAIN span;
 //   3. batched ShardScanJobs against direct scan_shard_partial — the unit a
-//      shard server executes, including empty shards.
+//      shard server executes, including empty shards;
+//   4. the group contract: members run back to back in arrival order, each
+//      answered when its own scan ends, with its own queue wait, execution
+//      time and exception.
 //
 // Every case derives from a printed seed, so any failure reproduces
 // standalone.
@@ -19,22 +23,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "archive/sharded.hpp"
 #include "core/progressive_exec.hpp"
-#include "engine/batch_exec.hpp"
 #include "engine/scheduler.hpp"
 #include "engine/shard_exec.hpp"
 #include "linear/model.hpp"
 #include "linear/progressive.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "testing/scenario_gen.hpp"
 #include "util/rng.hpp"
@@ -224,135 +233,184 @@ struct MeterSnapshot {
   }
 };
 
-/// One member's models + fault envelope, address-stable for batch_scan.
+/// Everything a solo run reports that a batched member must reproduce: the
+/// result bytes (including the missed bound), the meter and the context's
+/// books.
+bool same_as_solo(const RasterTopK& solo, const MeterSnapshot& solo_meter,
+                  std::uint64_t solo_spent, const RasterOutcome& got, std::string& why) {
+  if (!identical(solo, got.result, why)) return false;
+  if (std::bit_cast<std::uint64_t>(solo.missed_bound) !=
+      std::bit_cast<std::uint64_t>(got.result.missed_bound)) {
+    why = "missed bound diverges";
+    return false;
+  }
+  if (!(MeterSnapshot(got.meter) == solo_meter)) {
+    why = "meter diverges from the solo meter";
+    return false;
+  }
+  if (got.budget_spent != solo_spent) {
+    why = "budget_spent " + std::to_string(got.budget_spent) + " != solo spent() " +
+          std::to_string(solo_spent);
+    return false;
+  }
+  return true;
+}
+
+/// One member's models and future, address-stable while the engine runs it.
 struct MemberRun {
   Case c;
   LinearRasterModel raster;
   ProgressiveLinearModel progressive;
-  QueryContext ctx;
-  CostMeter meter;
+  std::future<RasterOutcome> future;
 
   explicit MemberRun(Case cc)
-      : c(std::move(cc)), raster(c.model), progressive(c.model, c.pooled->ranges) {
-    if (c.budgeted) ctx.with_op_budget(c.budget);
+      : c(std::move(cc)), raster(c.model), progressive(c.model, c.pooled->ranges) {}
+
+  void submit(QueryEngine& engine) {
+    RasterJob job;
+    job.mode = c.mode;
+    job.archive = &c.pooled->gen.tiled();
+    job.model = &raster;
+    job.progressive = &progressive;
+    job.k = c.k;
+    if (c.budgeted) job.limits.op_budget = c.budget;
+    future = engine.submit(std::move(job));
   }
 
-  [[nodiscard]] BatchMemberSpec spec() {
-    BatchMemberSpec s;
-    s.mode = static_cast<BatchScanMode>(c.mode);
-    s.model = &raster;
-    s.progressive = &progressive;
-    s.k = c.k;
-    s.ctx = &ctx;
-    s.meter = &meter;
-    return s;
+  /// The same query run solo through the serial executors, under the same
+  /// budget: the result, meter and books a batched run must reproduce.
+  RasterTopK solo(CostMeter& meter, std::uint64_t& spent) const {
+    QueryContext ctx;
+    if (c.budgeted) ctx.with_op_budget(c.budget);
+    RasterTopK out = run_serial(c, raster, progressive, ctx, meter);
+    spent = ctx.spent();
+    return out;
   }
 };
 
+/// A paused engine whose groups close at exactly `fanin` members when every
+/// archive receives a multiple of `fanin` submissions; fan-in 1 is the solo
+/// path.  Uncached (the jobs carry no archive id), so every member scans.
+EngineConfig batch_config(std::size_t fanin, std::size_t dispatchers) {
+  EngineConfig config;
+  config.dispatchers = dispatchers;
+  config.intra_query_threads = 0;
+  config.queue_capacity = 4096;
+  config.batch_max_fanin = fanin;
+  config.batch_window = std::chrono::milliseconds(100);
+  config.start_paused = true;
+  config.metrics = nullptr;
+  return config;
+}
+
 // ---------------------------------------------------------------------------
-// 1. Direct batch_scan: byte-identity, meter no-bleed, trip isolation.
+// 1. Engine groups: byte-identity, meter no-bleed, trip isolation.
 // ---------------------------------------------------------------------------
 
-TEST(BatchParity, DirectBatchMatchesSerialAtEveryFanIn) {
+TEST(BatchParity, EngineMembersMatchSerialAtEveryFanIn) {
   constexpr std::uint64_t kCases = 72;
-  std::vector<std::uint64_t> failing_seeds;
-  for (std::uint64_t seed = 0; seed < kCases; ++seed) {
-    const Case c = make_case(seed);
-    SCOPED_TRACE(c.describe());
-    const TiledArchive& archive = c.pooled->gen.tiled();
-    const LinearRasterModel raster(c.model);
-    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
-    bool ok = true;
-    std::string why;
+  const std::size_t kFanIns[] = {1, 4, 16, 64};
+  // Per case: its member's result and bill at fan-in 1 (the no-bleed
+  // baseline), and the first failure seen.
+  std::vector<std::unique_ptr<RasterTopK>> baseline_result(kCases);
+  std::vector<std::unique_ptr<MeterSnapshot>> baseline_meter(kCases);
+  std::vector<std::string> why(kCases);
 
-    // Solo oracles: the exact (unbudgeted) answer, and — for unbudgeted
-    // cases — the meter the serial executor billed.
-    QueryContext exact_ctx;
-    CostMeter exact_meter;
-    const RasterTopK exact = run_serial(c, raster, progressive, exact_ctx, exact_meter);
-
-    std::unique_ptr<RasterTopK> baseline_result;        // member result at fan-in 1
-    std::unique_ptr<MeterSnapshot> baseline_meter;      // member meter at fan-in 1
-    std::vector<std::size_t> fanins = {1, 4, 16};
-    if (seed % 4 == 0) fanins.push_back(64);
-    for (std::size_t fanin : fanins) {
-      // Member 0 is the case under test; fillers share its archive and mix
-      // modes/budgets so tripping mates ride along.
-      std::deque<MemberRun> runs;
-      runs.emplace_back(c);
+  for (const std::size_t fanin : kFanIns) {
+    QueryEngine engine(batch_config(fanin, 2));
+    // Member 0 of each group is the case under test; fillers share its
+    // archive and mix modes and budgets so tripping mates ride along.  Every
+    // case submits exactly `fanin` jobs, so its group holds just its own.
+    std::vector<std::deque<MemberRun>> groups(kCases);
+    for (std::uint64_t seed = 0; seed < kCases; ++seed) {
+      if (fanin == 64 && seed % 4 != 0) continue;
+      const Case c = make_case(seed);
+      groups[seed].emplace_back(c);
       for (std::size_t j = 1; j < fanin; ++j) {
-        Case filler = make_case_on(seed * 1000 + j + 50000, c.archive_index);
-        runs.emplace_back(std::move(filler));
+        groups[seed].emplace_back(make_case_on(seed * 1000 + j + 50000, c.archive_index));
       }
-      std::vector<BatchMemberSpec> specs;
-      for (MemberRun& r : runs) specs.push_back(r.spec());
-      const std::vector<BatchMemberResult> results =
-          batch_scan(archive, std::span<const BatchMemberSpec>(specs));
+      for (MemberRun& r : groups[seed]) r.submit(engine);
+    }
+    engine.resume();
 
-      const RasterTopK& got = results[0].result;
-      const MeterSnapshot got_meter(runs[0].meter);
+    for (std::uint64_t seed = 0; seed < kCases; ++seed) {
+      if (groups[seed].empty() || !why[seed].empty()) continue;
+      const std::string at = " (fanin=" + std::to_string(fanin) + ")";
+      const Case& c = groups[seed][0].c;
+      const LinearRasterModel& raster = groups[seed][0].raster;
+      const ProgressiveLinearModel& progressive = groups[seed][0].progressive;
+      std::vector<RasterOutcome> outcomes;
+      for (MemberRun& r : groups[seed]) outcomes.push_back(r.future.get());
+
+      // Every member — the case and each batch-mate — returns what its solo
+      // serial run returns, bills what it bills and books what it books.
+      for (std::size_t i = 0; i < outcomes.size() && why[seed].empty(); ++i) {
+        CostMeter solo_meter;
+        std::uint64_t solo_spent = 0;
+        const RasterTopK solo = groups[seed][i].solo(solo_meter, solo_spent);
+        std::string w;
+        if (!same_as_solo(solo, MeterSnapshot(solo_meter), solo_spent, outcomes[i], w)) {
+          why[seed] = "member " + std::to_string(i) + ": " + w + at;
+        }
+      }
+      if (!why[seed].empty()) continue;
+
+      // The exact (unbudgeted) answer, and the meter the serial executor
+      // billed for it.
+      QueryContext exact_ctx;
+      CostMeter exact_meter;
+      const RasterTopK exact = run_serial(c, raster, progressive, exact_ctx, exact_meter);
+      const RasterTopK& got = outcomes[0].result;
+      const MeterSnapshot got_meter(outcomes[0].meter);
+      std::string w;
       if (!c.budgeted) {
-        if (!identical(exact, got, why)) {
-          ok = false;
-          why += " (fanin=" + std::to_string(fanin) + ")";
-          break;
+        if (!identical(exact, got, w)) {
+          why[seed] = w + at;
+          continue;
         }
-        // Full scans bill order-independently, so the batched member's meter
-        // must equal the solo serial meter byte for byte.
-        if (c.mode == RasterJob::Mode::kFullScan &&
-            !(got_meter == MeterSnapshot(exact_meter))) {
-          ok = false;
-          why = "full-scan meter diverges from solo (fanin=" + std::to_string(fanin) + ")";
-          break;
+        // Unbudgeted, the member's meter is the solo serial meter byte for
+        // byte, in every mode.
+        if (!(got_meter == MeterSnapshot(exact_meter))) {
+          why[seed] = "meter diverges from solo" + at;
+          continue;
         }
-      } else {
-        if (!is_truncated(got.status)) {
-          if (!identical(exact, got, why)) {
-            ok = false;
-            why += " (within-budget completion, fanin=" + std::to_string(fanin) + ")";
-            break;
-          }
-        } else if (!sound_prefix(got, exact, why)) {
-          ok = false;
-          why += " (fanin=" + std::to_string(fanin) + ")";
-          break;
+      } else if (!is_truncated(got.status)) {
+        if (!identical(exact, got, w)) {
+          why[seed] = w + " (within-budget completion" + at + ")";
+          continue;
         }
+      } else if (!sound_prefix(got, exact, w)) {
+        why[seed] = w + at;
+        continue;
       }
       // No cross-member bleed: the member's result AND its bill are a pure
       // function of its own query — identical whoever rides along.
-      if (baseline_result == nullptr) {
-        baseline_result = std::make_unique<RasterTopK>(got);
-        baseline_meter = std::make_unique<MeterSnapshot>(got_meter);
-      } else {
-        if (!identical(*baseline_result, got, why)) {
-          ok = false;
-          why += " (fan-in bleed at fanin=" + std::to_string(fanin) + ")";
-          break;
-        }
-        if (!(got_meter == *baseline_meter)) {
-          ok = false;
-          why = "meter bleeds across fan-ins (fanin=" + std::to_string(fanin) + ")";
-          break;
-        }
+      if (baseline_result[seed] == nullptr) {
+        baseline_result[seed] = std::make_unique<RasterTopK>(got);
+        baseline_meter[seed] = std::make_unique<MeterSnapshot>(got_meter);
+      } else if (!identical(*baseline_result[seed], got, w)) {
+        why[seed] = w + " (fan-in bleed" + at + ")";
+      } else if (!(got_meter == *baseline_meter[seed])) {
+        why[seed] = "meter bleeds across fan-ins" + at;
       }
     }
+  }
 
-    EXPECT_TRUE(ok) << why;
-    if (!ok) failing_seeds.push_back(seed);
+  std::ostringstream failing;
+  for (std::uint64_t seed = 0; seed < kCases; ++seed) {
+    if (why[seed].empty()) continue;
+    ADD_FAILURE() << make_case(seed).describe() << ": " << why[seed];
+    failing << ' ' << seed;
   }
-  if (!failing_seeds.empty()) {
-    std::ostringstream os;
-    os << "failing case seeds:";
-    for (std::uint64_t s : failing_seeds) os << ' ' << s;
-    ADD_FAILURE() << os.str();
-  }
+  EXPECT_TRUE(failing.str().empty()) << "failing case seeds:" << failing.str();
 }
 
-TEST(BatchParity, BudgetedMembersTripOnTheirOwnUnit) {
+TEST(BatchParity, EngineBudgetedMembersTripOnTheirOwnUnit) {
   // A member spends its budget one pixel (full model) or one term (staged)
   // at a time, whoever rides along: it is refused exactly when the next
   // request no longer fits, its meter shows the work done up to there, and
-  // its context's books add the refused request.
+  // its context's books add the refused request.  Its unbudgeted batch-mates
+  // complete with their solo answers.
   const TiledArchive& archive = scenario_pool()[0]->gen.tiled();
   const std::uint64_t bands = archive.band_count();
   const std::uint64_t full_cost = archive.pixel_count() * bands;
@@ -360,11 +418,12 @@ TEST(BatchParity, BudgetedMembersTripOnTheirOwnUnit) {
        {RasterJob::Mode::kFullScan, RasterJob::Mode::kProgressiveModel}) {
     const bool staged = mode == RasterJob::Mode::kProgressiveModel;
     const std::uint64_t unit = staged ? 1 : bands;
-    for (std::uint64_t budget = 0; budget < full_cost + 2 * bands; budget += 37) {
-      for (const std::size_t fanin : {1UL, 4UL}) {
-        SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode) << " budget "
-                                        << budget << " fanin " << fanin);
-        std::deque<MemberRun> runs;
+    for (const std::size_t fanin : {1UL, 4UL}) {
+      QueryEngine engine(batch_config(fanin, 1));
+      std::vector<std::uint64_t> budgets;
+      std::deque<MemberRun> runs;  // fanin runs per budget: the member, then its mates
+      for (std::uint64_t budget = 0; budget < full_cost + 2 * bands; budget += 37) {
+        budgets.push_back(budget);
         Case c = make_case_on(7, 0);
         c.mode = mode;
         c.budgeted = true;
@@ -376,19 +435,40 @@ TEST(BatchParity, BudgetedMembersTripOnTheirOwnUnit) {
           filler.budgeted = false;
           runs.emplace_back(filler);
         }
-        std::vector<BatchMemberSpec> specs;
-        for (MemberRun& r : runs) specs.push_back(r.spec());
-        const auto results = batch_scan(archive, std::span<const BatchMemberSpec>(specs));
-        const std::uint64_t work = runs[0].meter.ops();
-        if (is_truncated(results[0].result.status)) {
-          EXPECT_EQ(results[0].result.status, ResultStatus::kTruncatedBudget);
+      }
+      for (MemberRun& r : runs) r.submit(engine);
+      engine.resume();
+
+      // The mates' solo answers, one per filler seed.
+      std::vector<RasterTopK> mate_exact;
+      for (std::size_t j = 1; j < fanin; ++j) {
+        CostMeter meter;
+        std::uint64_t spent = 0;
+        mate_exact.push_back(runs[j].solo(meter, spent));
+      }
+      for (std::size_t b = 0; b < budgets.size(); ++b) {
+        const std::uint64_t budget = budgets[b];
+        SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode) << " budget "
+                                        << budget << " fanin " << fanin);
+        const RasterOutcome member = runs[b * fanin].future.get();
+        const std::uint64_t work = member.meter.ops();
+        if (is_truncated(member.result.status)) {
+          EXPECT_EQ(member.result.status, ResultStatus::kTruncatedBudget);
           EXPECT_LE(work, budget);
           EXPECT_GT(work + unit, budget);
-          EXPECT_EQ(runs[0].ctx.spent(), work + unit);
+          EXPECT_EQ(member.budget_spent, work + unit);
         } else {
           EXPECT_LE(work, budget);
-          EXPECT_EQ(runs[0].ctx.spent(), work);
-          if (!staged) EXPECT_EQ(work, full_cost);
+          EXPECT_EQ(member.budget_spent, work);
+          if (!staged) {
+            EXPECT_EQ(work, full_cost);
+          }
+        }
+        for (std::size_t j = 1; j < fanin; ++j) {
+          const RasterOutcome mate = runs[b * fanin + j].future.get();
+          std::string why;
+          EXPECT_FALSE(is_truncated(mate.result.status));
+          EXPECT_TRUE(identical(mate_exact[j - 1], mate.result, why)) << "mate " << j << ": " << why;
         }
       }
     }
@@ -597,6 +677,153 @@ TEST(BatchParity, BatchedShardScansMatchDirectPartials) {
     engine.drain();
   }
   for (const std::string& f : failures) ADD_FAILURE() << f;
+}
+
+// ---------------------------------------------------------------------------
+// 4. The group contract: arrival order, early answers, own accounting.
+// ---------------------------------------------------------------------------
+
+/// A non-linear test model that scores like `model`, but whose first
+/// evaluate() runs `hook` first — to stall, slow or break one member.
+class HookedModel final : public RasterModel {
+ public:
+  HookedModel(LinearModel model, std::function<void()> hook)
+      : model_(std::move(model)), hook_(std::move(hook)) {}
+
+  [[nodiscard]] std::size_t bands() const override { return model_.dim(); }
+  [[nodiscard]] double evaluate(std::span<const double> pixel) const override {
+    std::call_once(once_, hook_);
+    return model_.evaluate(pixel);
+  }
+  [[nodiscard]] Interval bound(std::span<const Interval> ranges) const override {
+    return model_.evaluate_interval(ranges);
+  }
+  [[nodiscard]] std::size_t ops_per_evaluation() const override { return model_.dim(); }
+
+ private:
+  LinearModel model_;
+  std::function<void()> hook_;
+  mutable std::once_flag once_;
+};
+
+/// Submits one full scan per model to `engine`, in order.
+std::vector<std::future<RasterOutcome>> submit_full_scans(
+    QueryEngine& engine, const TiledArchive& archive,
+    const std::vector<const RasterModel*>& models) {
+  std::vector<std::future<RasterOutcome>> futures;
+  for (const RasterModel* model : models) {
+    RasterJob job;
+    job.mode = RasterJob::Mode::kFullScan;
+    job.archive = &archive;
+    job.model = model;
+    job.k = 5;
+    futures.push_back(engine.submit(std::move(job)));
+  }
+  return futures;
+}
+
+/// Byte-identity against the solo serial full scan of `model`.
+void expect_solo_full_scan(const TiledArchive& archive, const RasterModel& model,
+                           const RasterOutcome& got) {
+  QueryContext ctx;
+  CostMeter meter;
+  const RasterTopK solo = full_scan_top_k(archive, model, 5, ctx, meter);
+  std::string why;
+  EXPECT_TRUE(identical(solo, got.result, why)) << why;
+  EXPECT_TRUE(MeterSnapshot(got.meter) == MeterSnapshot(meter));
+}
+
+TEST(BatchContract, MemberIsAnsweredWhenItsOwnScanEnds) {
+  // The second member stalls on a latch the test opens only once the first
+  // member's future is ready: a group that answered members at its end
+  // would keep the first future waiting until the wait below gives up.
+  const TiledArchive& archive = scenario_pool()[0]->gen.tiled();
+  Rng rng(11);
+  const LinearRasterModel first(make_model(rng, archive.band_count()));
+  std::promise<void> latch;
+  const std::shared_future<void> opened = latch.get_future().share();
+  const HookedModel stalled(make_model(rng, archive.band_count()),
+                            [opened] { opened.wait_for(std::chrono::seconds(60)); });
+
+  obs::MetricsRegistry registry;
+  EngineConfig config = batch_config(2, 1);
+  config.metrics = &registry;
+  QueryEngine engine(config);
+  auto futures = submit_full_scans(engine, archive, {&first, &stalled});
+  engine.resume();
+  const bool first_ready =
+      futures[0].wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  latch.set_value();
+  EXPECT_TRUE(first_ready) << "the first member was not answered while its batch-mate scanned";
+  const RasterOutcome a = futures[0].get();
+  const RasterOutcome b = futures[1].get();
+  expect_solo_full_scan(archive, first, a);
+  expect_solo_full_scan(archive, stalled, b);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("engine_batch_batches_total"), 1u);
+  EXPECT_EQ(snap.counter("engine_batch_members_total"), 2u);
+}
+
+TEST(BatchContract, ThrowingMemberFailsAloneAndMatesKeepTheirAnswers) {
+  // The middle member's model throws.  The member answered before it keeps
+  // its answer (its promise is never touched again), the one after it still
+  // runs, and only the thrower's future carries the exception.
+  const TiledArchive& archive = scenario_pool()[0]->gen.tiled();
+  Rng rng(12);
+  const LinearRasterModel before(make_model(rng, archive.band_count()));
+  const HookedModel thrower(make_model(rng, archive.band_count()),
+                            [] { throw std::runtime_error("model fault"); });
+  const LinearRasterModel after(make_model(rng, archive.band_count()));
+
+  QueryEngine engine(batch_config(3, 1));
+  auto futures = submit_full_scans(engine, archive, {&before, &thrower, &after});
+  engine.resume();
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  }
+  expect_solo_full_scan(archive, before, futures[0].get());
+  try {
+    (void)futures[1].get();
+    ADD_FAILURE() << "the throwing member's future holds no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "model fault");
+  }
+  expect_solo_full_scan(archive, after, futures[2].get());
+  engine.drain();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
+}
+
+TEST(BatchContract, MembersCarryTheirOwnQueueWaitAndExecTime) {
+  // The first member sleeps 50 ms; the others are small scans.  Run back to
+  // back, each member's queue wait runs to its own start, so it covers the
+  // execution of every member before it, and its execution time is its own.
+  const TiledArchive& archive = scenario_pool()[0]->gen.tiled();
+  Rng rng(13);
+  constexpr auto kSleep = std::chrono::milliseconds(50);
+  const HookedModel slow(make_model(rng, archive.band_count()),
+                         [kSleep] { std::this_thread::sleep_for(kSleep); });
+  const LinearRasterModel second(make_model(rng, archive.band_count()));
+  const LinearRasterModel third(make_model(rng, archive.band_count()));
+
+  QueryEngine engine(batch_config(3, 1));
+  auto futures = submit_full_scans(engine, archive, {&slow, &second, &third});
+  engine.resume();
+  std::vector<RasterOutcome> out;
+  for (auto& f : futures) out.push_back(f.get());
+
+  EXPECT_GE(out[0].exec_time, kSleep);
+  std::chrono::nanoseconds before{0};  // execution of the members ahead
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "member " << i);
+    if (i > 0) {
+      EXPECT_GT(out[i].dispatch_order, out[i - 1].dispatch_order);
+      EXPECT_LT(out[i].exec_time, out[0].exec_time);
+    }
+    EXPECT_GE(out[i].queue_wait, before);
+    before += out[i].exec_time;
+  }
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 // the finite scores into the canonical (score desc, pixel rank asc) top-K.
 // The serial full scan, the tile-screened scan, the tile-parallel scans at
 // 1/2/4 threads, the sharded scans under both placement policies and the
-// batched members must all return exactly those hits with bit-identical
-// scores — on clean archives, NaN-poisoned ones and the exact-tie scenes of
-// tie_parity_scenarios().  A complete full scan must also bill exactly
-// pixels·bands points, pixels·N ops and pixels·bands·8 bytes, and count
-// exactly the reference's non-finite scores as bad points.
+// members of an engine batch group must all return exactly those hits with
+// bit-identical scores — on clean archives, NaN-poisoned ones and the
+// exact-tie scenes of tie_parity_scenarios().  A complete full scan must
+// also bill exactly pixels·bands points, pixels·N ops and pixels·bands·8
+// bytes, and count exactly the reference's non-finite scores as bad points.
 //
 // The fused linear pass scores bands in groups of four and screens pixels
 // in fixed blocks, so a further battery runs archives of 1, 3, 5 and 9
@@ -28,8 +28,8 @@
 //
 // The second half covers the per-pixel path the row kernel keeps for
 // non-linear models (a product of two bands plus a linear tail), alone and
-// in a batch that mixes linear, non-linear and staged members, some of them
-// tripping their budgets.
+// in an engine batch group that mixes linear, non-linear and staged
+// members, some of them tripping their budgets.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +37,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <deque>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -46,8 +46,8 @@
 #include "archive/sharded.hpp"
 #include "core/exec_kernels.hpp"
 #include "core/progressive_exec.hpp"
-#include "engine/batch_exec.hpp"
 #include "engine/parallel_exec.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/shard_exec.hpp"
 #include "engine/thread_pool.hpp"
 #include "linear/model.hpp"
@@ -254,6 +254,24 @@ void expect_sound_prefix(const std::vector<RasterHit>& exact, const RasterTopK& 
                      std::vector<RasterHit>(got.hits.begin(), got.hits.begin() + prefix));
 }
 
+/// Runs `jobs` as ONE engine batch group (fan-in = jobs.size(), submitted
+/// while the engine is paused) and returns their outcomes in order.
+std::vector<RasterOutcome> run_batched(const std::vector<RasterJob>& jobs) {
+  EngineConfig config;
+  config.dispatchers = 1;
+  config.intra_query_threads = 0;
+  config.batch_max_fanin = jobs.size();
+  config.start_paused = true;
+  config.metrics = nullptr;
+  QueryEngine engine(config);
+  std::vector<std::future<RasterOutcome>> futures;
+  for (const RasterJob& job : jobs) futures.push_back(engine.submit(job));
+  engine.resume();
+  std::vector<RasterOutcome> outcomes;
+  for (auto& f : futures) outcomes.push_back(f.get());
+  return outcomes;
+}
+
 /// A complete full scan bills every pixel once, in full.
 void expect_full_bill(const TiledArchive& archive, const RasterModel& model,
                       const CostMeter& meter) {
@@ -336,23 +354,21 @@ void check_every_path(const TiledArchive& archive, const RasterModel& model,
   }
   {
     SCOPED_TRACE("batched");
-    std::deque<QueryContext> ctxs(2);
-    std::deque<CostMeter> meters(2);
-    std::vector<BatchMemberSpec> specs(2);
-    for (std::size_t i = 0; i < 2; ++i) {
-      specs[i].mode = i == 0 ? BatchScanMode::kFullScan : BatchScanMode::kTileScreened;
-      specs[i].model = &model;
-      specs[i].k = kK;
-      specs[i].ctx = &ctxs[i];
-      specs[i].meter = &meters[i];
+    std::vector<RasterJob> jobs(2);
+    jobs[0].mode = RasterJob::Mode::kFullScan;
+    jobs[1].mode = RasterJob::Mode::kTileScreened;
+    for (RasterJob& job : jobs) {
+      job.archive = &archive;
+      job.model = &model;
+      job.k = kK;
     }
-    const auto results = batch_scan(archive, specs);
-    for (const BatchMemberResult& r : results) {
-      EXPECT_FALSE(is_truncated(r.result.status));
-      expect_oracle_hits(expected, r.result.hits);
+    const std::vector<RasterOutcome> outcomes = run_batched(jobs);
+    for (const RasterOutcome& out : outcomes) {
+      EXPECT_FALSE(is_truncated(out.result.status));
+      expect_oracle_hits(expected, out.result.hits);
     }
-    EXPECT_EQ(results[0].result.bad_points, expected_bad);
-    expect_full_bill(archive, model, meters[0]);
+    EXPECT_EQ(outcomes[0].result.bad_points, expected_bad);
+    expect_full_bill(archive, model, outcomes[0].meter);
   }
 }
 
@@ -707,10 +723,11 @@ TEST(ScanOracle, ContractionCanaryScoresExactlyZeroOnBothEntriesAndEveryPath) {
 }
 
 TEST(ScanOracle, MixedBatchWithTrippingMembersMatchesSoloRuns) {
-  // Linear, non-linear and staged members in one batch, full-scan and
-  // screened, budgets from zero to unbounded.  A complete member returns
-  // the reference answer; a tripped one certifies a prefix of it; a
-  // full-model member trips exactly where its solo serial scan does.
+  // Linear, non-linear and staged members in one engine batch group,
+  // full-scan and screened, budgets from zero to unbounded.  A complete
+  // member returns the reference answer; a tripped one certifies a prefix
+  // of it; every member returns, bills and books exactly what its solo
+  // serial run does, tripping on the same unit.
   const TiledArchive& archive = archives()[0]->tiled();
   const std::size_t bands = archive.band_count();
   const LinearModel linear = make_model(301, bands, false);
@@ -733,77 +750,88 @@ TEST(ScanOracle, MixedBatchWithTrippingMembersMatchesSoloRuns) {
   for (std::size_t round = 0; round < 6; ++round) {
     SCOPED_TRACE(testing::Message() << "round " << round);
     const std::size_t members = std::size(kinds) * 2;
-    std::deque<QueryContext> ctxs(members);
-    std::deque<CostMeter> meters(members);
-    std::vector<BatchMemberSpec> specs(members);
-    std::vector<std::uint64_t> member_budget(members);
+    std::vector<RasterJob> jobs(members);
     for (std::size_t i = 0; i < members; ++i) {
-      const Kind kind = kinds[i % std::size(kinds)];
-      member_budget[i] = budgets[(i * 5 + round * 3) % std::size(budgets)];
-      ctxs[i].with_op_budget(member_budget[i]).with_check_interval(i % 2 == 0 ? 1024 : 96);
-      BatchMemberSpec& spec = specs[i];
-      spec.k = 7 + i % 5;
-      spec.ctx = &ctxs[i];
-      spec.meter = &meters[i];
-      switch (kind) {
+      RasterJob& job = jobs[i];
+      job.archive = &archive;
+      job.k = 7 + i % 5;
+      job.limits.op_budget = budgets[(i * 5 + round * 3) % std::size(budgets)];
+      switch (kinds[i % std::size(kinds)]) {
         case Kind::kLinear:
-          spec.mode = BatchScanMode::kFullScan;
-          spec.model = &linear_model;
+          job.mode = RasterJob::Mode::kFullScan;
+          job.model = &linear_model;
           break;
         case Kind::kProduct:
-          spec.mode = BatchScanMode::kFullScan;
-          spec.model = &product;
+          job.mode = RasterJob::Mode::kFullScan;
+          job.model = &product;
           break;
         case Kind::kStaged:
-          spec.mode = BatchScanMode::kProgressiveModel;
-          spec.progressive = &staged;
+          job.mode = RasterJob::Mode::kProgressiveModel;
+          job.progressive = &staged;
           break;
         case Kind::kLinearScreened:
-          spec.mode = BatchScanMode::kTileScreened;
-          spec.model = &linear_model;
+          job.mode = RasterJob::Mode::kTileScreened;
+          job.model = &linear_model;
           break;
         case Kind::kProductScreened:
-          spec.mode = BatchScanMode::kTileScreened;
-          spec.model = &product;
+          job.mode = RasterJob::Mode::kTileScreened;
+          job.model = &product;
           break;
       }
     }
-    const auto results = batch_scan(archive, specs);
+    const std::vector<RasterOutcome> outcomes = run_batched(jobs);
     std::size_t tripped = 0;
     for (std::size_t i = 0; i < members; ++i) {
-      SCOPED_TRACE(testing::Message() << "member " << i << " budget " << member_budget[i]);
-      const BatchMemberSpec& spec = specs[i];
-      const RasterTopK& got = results[i].result;
-      const auto exact = spec.progressive != nullptr
-                             ? oracle_top_k(archive, spec.k,
+      const RasterJob& job = jobs[i];
+      const std::uint64_t budget = job.limits.op_budget;
+      SCOPED_TRACE(testing::Message() << "member " << i << " budget " << budget);
+      const RasterTopK& got = outcomes[i].result;
+      const CostMeter& meter = outcomes[i].meter;
+      const auto exact = job.progressive != nullptr
+                             ? oracle_top_k(archive, job.k,
                                             [&](std::span<const double> pixel) {
                                               return staged.model().evaluate(pixel);
                                             })
-                             : oracle_top_k(archive, spec.k, [&](std::span<const double> pixel) {
-                                 return spec.model->evaluate(pixel);
+                             : oracle_top_k(archive, job.k, [&](std::span<const double> pixel) {
+                                 return job.model->evaluate(pixel);
                                });
       if (is_truncated(got.status)) {
         ++tripped;
         EXPECT_EQ(got.status, ResultStatus::kTruncatedBudget);
-        EXPECT_LE(meters[i].ops(), member_budget[i]);
+        EXPECT_LE(meter.ops(), budget);
         expect_sound_prefix(exact, got);
       } else {
         expect_oracle_hits(exact, got.hits);
       }
-      if (spec.mode != BatchScanMode::kFullScan) continue;
-      // A full-model member trips on the unit its solo scan trips on: same
-      // status, missed bound, bill and books.  (Which pixels it saw first
-      // differs — the batch walks tiles, the solo scan whole rows.)
+      // The member trips on the unit its solo scan trips on: same hits,
+      // status, missed bound, bill and books.  The solo context checks its
+      // deadline at a different interval than the engine's, which must not
+      // move the trip either.
       QueryContext solo_ctx;
-      solo_ctx.with_op_budget(member_budget[i]).with_check_interval(i % 2 == 0 ? 1024 : 96);
+      solo_ctx.with_op_budget(budget).with_check_interval(i % 2 == 0 ? 1024 : 96);
       CostMeter solo_meter;
-      const RasterTopK solo = full_scan_top_k(archive, *spec.model, spec.k, solo_ctx, solo_meter);
+      RasterTopK solo;
+      switch (job.mode) {
+        case RasterJob::Mode::kFullScan:
+          solo = full_scan_top_k(archive, *job.model, job.k, solo_ctx, solo_meter);
+          break;
+        case RasterJob::Mode::kProgressiveModel:
+          solo = progressive_model_top_k(archive, staged, job.k, solo_ctx, solo_meter);
+          break;
+        case RasterJob::Mode::kTileScreened:
+          solo = tile_screened_top_k(archive, *job.model, job.k, solo_ctx, solo_meter);
+          break;
+        case RasterJob::Mode::kCombined:
+          break;
+      }
+      expect_oracle_hits(solo.hits, got.hits);
       EXPECT_EQ(got.status, solo.status);
-      EXPECT_EQ(got.missed_bound, solo.missed_bound);
-      EXPECT_EQ(meters[i].ops(), solo_meter.ops());
-      EXPECT_EQ(meters[i].points(), solo_meter.points());
-      EXPECT_EQ(meters[i].bytes(), solo_meter.bytes());
-      EXPECT_EQ(ctxs[i].spent(), solo_ctx.spent());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.missed_bound),
+                std::bit_cast<std::uint64_t>(solo.missed_bound));
+      EXPECT_EQ(meter.ops(), solo_meter.ops());
+      EXPECT_EQ(meter.points(), solo_meter.points());
+      EXPECT_EQ(meter.bytes(), solo_meter.bytes());
+      EXPECT_EQ(outcomes[i].budget_spent, solo_ctx.spent());
     }
     EXPECT_GT(tripped, 0u);
     EXPECT_LT(tripped, members);
