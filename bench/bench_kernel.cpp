@@ -17,9 +17,16 @@
 //
 // `BM_ScanLinear_Runs` times the linear path at the run shapes the other
 // executors hand the kernel: `run:32` scans the scene tile by tile (32×32,
-// one scan_rect_full and one lease per tile, as the tile-screened and
-// batched paths do), `run:512` whole rows; `nan:1` poisons one band of 1%
+// one scan_rect_full and one lease per tile, as every tile-screened path
+// does), `run:512` whole rows; `nan:1` poisons one band of 1%
 // of the pixels, so the blocks holding them take the per-pixel offer loop.
+//
+// `BM_ScanShardLeg` times the tile-list walker every shard leg runs
+// (exec::scan_tiles_full) over shard 0 of the same bands tiled at 32 and
+// split into 4 shards, the fleet scene's layout: `tile_hash:0` is a
+// row-band shard, whose spans are whole rows; `tile_hash:1` a tile-hash
+// shard, where only adjacent tiles merge into a span.  time_per_px is per
+// pixel of the shard.
 //
 // `BM_ScanRectStaged` times the staged kernel (scan_rect_staged, the model
 // leg of §3.1) over the same whole rows, abandoning pixels against the local
@@ -40,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "archive/sharded.hpp"
 #include "core/exec_kernels.hpp"
 #include "core/query_context.hpp"
 #include "core/raster_model.hpp"
@@ -94,6 +102,16 @@ const TiledArchive& nan_scene() {
     return p;
   }();
   return *poisoned.archive;
+}
+
+/// scene()'s bands tiled at 32.
+const TiledArchive& scene_tile32() {
+  static const std::unique_ptr<TiledArchive> archive = [] {
+    std::vector<const Grid*> bands;
+    for (const Grid& g : scene().grids) bands.push_back(&g);
+    return std::make_unique<TiledArchive>(std::move(bands), 32);
+  }();
+  return *archive;
 }
 
 LinearModel kernel_model() {
@@ -171,6 +189,28 @@ void BM_ScanLinear_Runs(benchmark::State& state) {
   scan_scene(state, archive, model, false, static_cast<std::size_t>(state.range(0)));
 }
 
+void BM_ScanShardLeg(benchmark::State& state) {
+  const LinearRasterModel model(kernel_model());
+  const TiledArchive& archive = scene_tile32();
+  const ShardedArchive sharded(
+      archive, 4, state.range(0) != 0 ? ShardPolicy::kTileHash : ShardPolicy::kRowBands);
+  const ShardInfo& shard = sharded.shard(0);
+  for (auto _ : state) {
+    QueryContext ctx;
+    CostMeter meter;
+    exec::ScanTally tally;
+    TopK<RasterHit> top(kTopK);
+    exec::scan_tiles_full(archive, model, shard.tiles, top, ctx, meter, tally);
+    if (ctx.stopped() || tally.pixels != shard.pixel_count) {
+      state.SkipWithError("scan did not complete");
+    }
+    benchmark::DoNotOptimize(top.threshold());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * shard.pixel_count *
+                                                    archive.band_count() * sizeof(double)));
+  state.counters["time_per_px"] = time_per_px(shard.pixel_count);
+}
+
 void BM_ScanRectStaged(benchmark::State& state) {
   const TiledArchive& archive = scene().tiled();
   const ProgressiveLinearModel model(
@@ -209,6 +249,7 @@ BENCHMARK(BM_ScanLinear_Runs)
     ->ArgNames({"run", "nan"})
     ->ArgsProduct({{32, kSide}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanShardLeg)->ArgName("tile_hash")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_ScanRectStaged)->Unit(benchmark::kMicrosecond);
 

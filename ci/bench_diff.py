@@ -17,6 +17,10 @@ sharded full scan must run at least 2x the serial scan's throughput
 (sharded_throughput row shards == 4, speedup_vs_serial).  Best qps alone
 cannot catch a sweep where sharding makes a query slower, because the
 shards=1 row then wins.  Skipped on hosts with hardware_concurrency < 4.
+A second E11 shape gate needs no spare cores: the shards == 1 row must run
+at least 0.8x the serial scan (speedup_vs_serial), since one shard does the
+serial scan's work in the serial scan's order, and only the scatter-gather
+around it may cost extra.  It is never skipped for the host.
 
 It also enforces the E14 distributed-tracing acceptance bound on the
 candidate alone (schema_version >= 6): routing the same fleet traced (trace
@@ -127,6 +131,29 @@ def sharded_speedup_regressed(doc: dict) -> bool:
         f"(floor {SHARDED_SPEEDUP_MIN:.1f}x) [{verdict}]"
     )
     return ratio < SHARDED_SPEEDUP_MIN
+
+
+ONE_SHARD_SPEEDUP_MIN = 0.8  # E11 shape: 1 shard >= 0.8x the serial scan
+
+
+def one_shard_speedup_regressed(doc: dict) -> bool:
+    """E11 one-shard gate on the candidate; returns True when it fails.  One
+    shard runs the serial scan's work on one thread, so no host skip."""
+    rows = doc.get("sharded_throughput") or []
+    speedup = {int(row["shards"]): float(row["speedup_vs_serial"]) for row in rows}
+    if 1 not in speedup:
+        print(
+            "E11 one-shard speedup gate skipped: missing rows (candidate recorded "
+            "no shards=1 sharded_throughput row)"
+        )
+        return False
+    ratio = speedup[1]
+    verdict = "FAIL" if ratio < ONE_SHARD_SPEEDUP_MIN else "ok"
+    print(
+        f"E11 one-shard speedup: 1 shard = {ratio:.2f}x serial "
+        f"(floor {ONE_SHARD_SPEEDUP_MIN:.1f}x) [{verdict}]"
+    )
+    return ratio < ONE_SHARD_SPEEDUP_MIN
 
 
 HEDGED_TAIL_LIMIT = 1.5  # E12 acceptance: hedged p99 <= 1.5x no-fault p99
@@ -278,9 +305,10 @@ def main() -> int:
                 failed |= check(
                     "E11 best sharded qps", base_qps, cand_qps, args.threshold
                 )
-        # The E11 shape gate needs only the candidate's own rows.
+        # The E11 shape gates need only the candidate's own rows.
         if isinstance(cand_schema, int) and cand_schema >= 3:
             failed |= sharded_speedup_regressed(cand)
+            failed |= one_shard_speedup_regressed(cand)
         # E12 lands with schema_version 4: an absolute bound on the candidate
         # (hedging must cap the faulted tail), skipped on few-core hosts where
         # the duplicate leg cannot overlap the straggler.

@@ -10,8 +10,13 @@
 // executors, which is what the shard-parity test battery relies on.
 //
 // Two placement policies:
-//   * kRowBands — contiguous bands of tile rows.  Preserves scan locality and
-//     gives each shard a tight band-range hull; the default.
+//   * kRowBands — contiguous bands of tile rows.  Preserves scan locality:
+//     a shard's tiles cover whole tile rows, so its scan-order leg
+//     (exec::scan_tiles_full / scan_tiles_staged) hands the row kernel
+//     whole archive rows in the serial scan's order — about a third of the
+//     per-pixel cost of 32-pixel tile rows — and a one-shard layout scans
+//     exactly like the serial executor.  Also gives each shard a tight
+//     band-range hull; the default.
 //   * kTileHash — tiles scattered by a multiplicative hash.  Destroys
 //     locality on purpose: it models hash-placed storage backends and gives
 //     the parity suite a worst-case layout where any merge bug that depends

@@ -65,6 +65,20 @@
 // sharded runs of the same query — and the merge of their partials — return
 // byte-identical results.
 //
+// Which rectangles reach the row kernels:
+//   * serial and tile-parallel full and staged scans: whole rows — the
+//     scene, or the row bands parallel_for hands each worker
+//     (scan_rect_full / scan_rect_staged);
+//   * every shard leg in scan order — the in-process sharded full and
+//     staged-model executors and the remote scan_shard_partial legs of the
+//     same two modes: the shard's tile list through walk_tile_spans
+//     (scan_tiles_full / scan_tiles_staged), which joins horizontally
+//     adjacent tiles into one span, so a row-band shard scans whole rows;
+//   * tile by tile, one scan_rect_* per tile: every screened (bound-ordered)
+//     path — serial, tile-parallel, sharded and remote tile-screened and
+//     combined.  Their 32-pixel runs cost about three times a whole row's
+//     per pixel (bench_kernel run:32 against run:512).
+//
 // How a screened executor gets its tile bounds is decided here alone:
 // screen_tiles() charges and runs the metadata pass for every one of them.
 //
@@ -467,6 +481,87 @@ inline void scan_rect_staged(const TiledArchive& archive, const ProgressiveLinea
       return;
     }
   }
+}
+
+/// The tile-list walker under every shard leg's scan-order pass: visits the
+/// pixels of `tile_ids` — global tile indices, ascending — as the longest
+/// row spans the list allows.  In each tile row, a run of horizontally
+/// adjacent tiles is one span [x0, x1), and every pixel row of the tile row
+/// calls `row(x0, x1, y)` once per span, left to right.  A list of whole
+/// tile rows (a kRowBands shard) thus hands the row kernel whole archive
+/// rows, in the order the serial scan visits them; a scattered list (a
+/// kTileHash shard) merges only the tiles that touch.  `row` returns false
+/// once the context stops, and the walk ends there.
+///
+/// Returns how many tiles had their first pixel visited, read off
+/// `tally.pixels` (which `row` advances): a stop inside a span's first row
+/// counts only the tiles the row kernel had entered.
+template <typename RowFn>
+std::uint64_t walk_tile_spans(const TiledArchive& archive, std::span<const std::size_t> tile_ids,
+                              const QueryContext& ctx, const ScanTally& tally, RowFn&& row) {
+  const auto tiles = archive.tiles();
+  const std::size_t across = archive.tiles_x();
+  const std::size_t tile_w = archive.tile_size();
+  std::uint64_t entered = 0;
+  for (std::size_t first = 0; first < tile_ids.size();) {
+    // tile_ids[first, last) lie in one tile row, sharing its y0 and height.
+    const std::size_t tile_row = tile_ids[first] / across;
+    std::size_t last = first + 1;
+    while (last < tile_ids.size() && tile_ids[last] / across == tile_row) ++last;
+    const TileSummary& lead = tiles[tile_ids[first]];
+    for (std::size_t y = lead.y0; y < lead.y0 + lead.height; ++y) {
+      for (std::size_t i = first; i < last;) {
+        std::size_t j = i + 1;  // tile_ids[i, j) is one span
+        while (j < last && tile_ids[j] == tile_ids[j - 1] + 1) ++j;
+        if (ctx.stopped()) return entered;
+        const TileSummary& right = tiles[tile_ids[j - 1]];
+        const std::uint64_t before = tally.pixels;
+        const bool done = row(tiles[tile_ids[i]].x0, right.x0 + right.width, y);
+        if (y == lead.y0) {
+          // Every tile of the span but the rightmost is tile_w wide.
+          const std::uint64_t reached = (tally.pixels - before + tile_w - 1) / tile_w;
+          entered += done ? j - i : std::min<std::uint64_t>(j - i, reached);
+        }
+        if (!done) return entered;
+        i = j;
+      }
+    }
+    first = last;
+  }
+  return entered;
+}
+
+/// Full-model scan of a tile list: walk_tile_spans over scan_row_full,
+/// through one ChargeLease and one linear_model_of lookup for the call.
+/// Returns the tiles entered; callers check ctx.stopped() for a stop.
+inline std::uint64_t scan_tiles_full(const TiledArchive& archive, const RasterModel& model,
+                                     std::span<const std::size_t> tile_ids, TopK<RasterHit>& top,
+                                     QueryContext& ctx, CostMeter& meter, ScanTally& tally) {
+  ChargeLease lease(ctx);
+  const LinearModel* linear = linear_model_of(model);
+  std::vector<double> scratch;  // scan_row_full's row buffer
+  return walk_tile_spans(archive, tile_ids, ctx, tally,
+                         [&](std::size_t x0, std::size_t x1, std::size_t y) {
+                           return scan_row_full(archive, model, linear, x0, x1, y, top, scratch,
+                                                lease, ctx, meter, tally);
+                         });
+}
+
+/// Staged counterpart of scan_tiles_full: walk_tile_spans over
+/// scan_row_staged through one ChargeLease for the call.
+template <typename ThresholdFn, typename OnOfferFn>
+inline std::uint64_t scan_tiles_staged(const TiledArchive& archive,
+                                       const ProgressiveLinearModel& model,
+                                       std::span<const std::size_t> tile_ids,
+                                       TopK<RasterHit>& top, ThresholdFn&& threshold,
+                                       OnOfferFn&& on_offer, QueryContext& ctx, CostMeter& meter,
+                                       ScanTally& tally) {
+  ChargeLease lease(ctx);
+  return walk_tile_spans(archive, tile_ids, ctx, tally,
+                         [&](std::size_t x0, std::size_t x1, std::size_t y) {
+                           return scan_row_staged(archive, model, x0, x1, y, top, threshold,
+                                                  on_offer, lease, ctx, meter, tally);
+                         });
 }
 
 /// One tile's screening bound: the upper end of the model interval over the

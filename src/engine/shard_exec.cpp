@@ -67,6 +67,62 @@ void annotate_shard(const obs::Span& span, const ShardInfo& shard, const ShardRu
   span.note("status", to_string(run.status));
 }
 
+/// Sound upper bound on `model` anywhere in the shard (finite data only):
+/// the missed bound of a leg that never started, or that stopped while
+/// scanning in an order that says nothing about the pixels it left.
+double whole_shard_bound(const RasterModel& model, const ShardInfo& shard) {
+  return model.bound(shard.band_ranges).hi;
+}
+
+/// whole_shard_bound for the staged model leg.
+double whole_shard_bound(const ProgressiveLinearModel& model, const ShardInfo& shard) {
+  return model.model().evaluate_interval(shard.band_ranges).hi;
+}
+
+/// Closes a scan-order leg after its walk: scan ops since `ops_before`, and
+/// the leg's status.  A truncated leg reports the whole shard's bound,
+/// bound(): scan order says nothing about the pixels it left.
+template <typename Bound>
+void close_scan_order_leg(const ShardInfo& shard, ShardRun& run, QueryContext& ctx,
+                          std::uint64_t ops_before, Bound&& bound) {
+  run.scan_ops = run.meter.ops() - ops_before;
+  if (ctx.stopped()) {
+    run.status = ctx.stop_reason();
+    run.missed_bound = bound();
+  } else {
+    run.status = shard_completion_status(shard, run.tally.bad_points);
+  }
+}
+
+/// The full-scan leg of one shard, in-process and remote alike: the
+/// shard's tile list as whole-row spans (exec::scan_tiles_full).
+void full_scan_leg(const TiledArchive& archive, const RasterModel& model, const ShardInfo& shard,
+                   ShardRun& run, QueryContext& ctx) {
+  const std::uint64_t ops_before = run.meter.ops();
+  run.tiles_scanned =
+      exec::scan_tiles_full(archive, model, shard.tiles, run.top, ctx, run.meter, run.tally);
+  close_scan_order_leg(shard, run, ctx, ops_before,
+                       [&] { return whole_shard_bound(model, shard); });
+}
+
+/// The staged (model-leg) scan of one shard, in-process and remote alike:
+/// exec::scan_tiles_staged, abandoning against the better of the shard's
+/// own heap and `shared`.
+void staged_scan_leg(const TiledArchive& archive, const ProgressiveLinearModel& model,
+                     const ShardInfo& shard, ShardRun& run, SharedThreshold& shared,
+                     QueryContext& ctx) {
+  const std::uint64_t ops_before = run.meter.ops();
+  run.tiles_scanned = exec::scan_tiles_staged(
+      archive, model, shard.tiles, run.top,
+      [&] { return std::max(run.top.threshold(), shared.get()); },
+      [&] {
+        if (run.top.full()) shared.raise(run.top.threshold());
+      },
+      ctx, run.meter, run.tally);
+  close_scan_order_leg(shard, run, ctx, ops_before,
+                       [&] { return whole_shard_bound(model, shard); });
+}
+
 // --------------------------------------------------------------- fault domains
 //
 // When a ShardExecOptions with an active policy/chaos hook is threaded in,
@@ -597,30 +653,12 @@ ShardedTopK sharded_full_scan_top_k(const ShardedArchive& sharded, const RasterM
   MMIR_EXPECTS(k > 0);
   const TiledArchive& archive = sharded.archive();
   MMIR_EXPECTS(model.bands() == archive.band_count());
-  const auto tiles = archive.tiles();
-  const auto shard_bound = [&](const ShardInfo& shard) { return model.bound(shard.band_ranges).hi; };
   return scatter_gather(
       sharded, "sharded_full_scan", k, model.ops_per_evaluation(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold&, QueryContext& ctx) {
-        std::vector<double> scratch;  // scan_row_full's row buffer
-        const std::uint64_t ops_before = run.meter.ops();
-        for (std::size_t t : shard.tiles) {
-          const TileSummary& tile = tiles[t];
-          ++run.tiles_scanned;
-          exec::scan_rect_full(archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
-                               tile.y0 + tile.height, run.top, scratch, ctx, run.meter,
-                               run.tally);
-          if (ctx.stopped()) break;
-        }
-        run.scan_ops = run.meter.ops() - ops_before;
-        if (ctx.stopped()) {
-          run.status = ctx.stop_reason();
-          run.missed_bound = shard_bound(shard);  // covers the in-flight tile's remainder too
-        } else {
-          run.status = shard_completion_status(shard, run.tally.bad_points);
-        }
+        full_scan_leg(archive, model, shard, run, ctx);
       },
-      shard_bound);
+      [&](const ShardInfo& shard) { return whole_shard_bound(model, shard); });
 }
 
 ShardedTopK sharded_progressive_model_top_k(const ShardedArchive& sharded,
@@ -630,35 +668,12 @@ ShardedTopK sharded_progressive_model_top_k(const ShardedArchive& sharded,
   MMIR_EXPECTS(k > 0);
   const TiledArchive& archive = sharded.archive();
   MMIR_EXPECTS(model.model().dim() == archive.band_count());
-  const auto tiles = archive.tiles();
-  const auto shard_bound = [&](const ShardInfo& shard) {
-    return model.model().evaluate_interval(shard.band_ranges).hi;
-  };
   return scatter_gather(
       sharded, "sharded_progressive_model", k, model.order().size(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold& shared, QueryContext& ctx) {
-        const std::uint64_t ops_before = run.meter.ops();
-        for (std::size_t t : shard.tiles) {
-          const TileSummary& tile = tiles[t];
-          ++run.tiles_scanned;
-          exec::scan_rect_staged(
-              archive, model, tile.x0, tile.x0 + tile.width, tile.y0, tile.y0 + tile.height,
-              run.top, [&] { return std::max(run.top.threshold(), shared.get()); },
-              [&] {
-                if (run.top.full()) shared.raise(run.top.threshold());
-              },
-              ctx, run.meter, run.tally);
-          if (ctx.stopped()) break;
-        }
-        run.scan_ops = run.meter.ops() - ops_before;
-        if (ctx.stopped()) {
-          run.status = ctx.stop_reason();
-          run.missed_bound = shard_bound(shard);
-        } else {
-          run.status = shard_completion_status(shard, run.tally.bad_points);
-        }
+        staged_scan_leg(archive, model, shard, run, shared, ctx);
       },
-      shard_bound);
+      [&](const ShardInfo& shard) { return whole_shard_bound(model, shard); });
 }
 
 namespace {
@@ -721,6 +736,37 @@ void screened_shard_scan(const TiledArchive& archive, const RasterModel& screen_
   run.status = shard_completion_status(shard, run.tally.bad_points);
 }
 
+/// The tile-screened leg of one shard, in-process and remote alike.
+void tile_screened_leg(const TiledArchive& archive, const RasterModel& model,
+                       const ShardInfo& shard, ShardRun& run, SharedThreshold& shared,
+                       QueryContext& ctx) {
+  std::vector<double> scratch;  // scan_row_full's row buffer
+  screened_shard_scan(archive, model, shard, run, shared, ctx, whole_shard_bound(model, shard),
+                      [&](const TileSummary& tile, ShardRun& r) {
+                        exec::scan_rect_full(archive, model, tile.x0, tile.x0 + tile.width,
+                                             tile.y0, tile.y0 + tile.height, r.top, scratch,
+                                             ctx, r.meter, r.tally);
+                      });
+}
+
+/// The combined leg of one shard, in-process and remote alike: tiles
+/// screened by `screen` (the linear model of `model`), then scanned staged.
+void combined_leg(const TiledArchive& archive, const ProgressiveLinearModel& model,
+                  const LinearRasterModel& screen, const ShardInfo& shard, ShardRun& run,
+                  SharedThreshold& shared, QueryContext& ctx) {
+  screened_shard_scan(archive, screen, shard, run, shared, ctx, whole_shard_bound(screen, shard),
+                      [&](const TileSummary& tile, ShardRun& r) {
+                        exec::scan_rect_staged(
+                            archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
+                            tile.y0 + tile.height, r.top,
+                            [&] { return std::max(r.top.threshold(), shared.get()); },
+                            [&] {
+                              if (r.top.full()) shared.raise(r.top.threshold());
+                            },
+                            ctx, r.meter, r.tally);
+                      });
+}
+
 }  // namespace
 
 ShardedTopK sharded_tile_screened_top_k(const ShardedArchive& sharded, const RasterModel& model,
@@ -729,20 +775,12 @@ ShardedTopK sharded_tile_screened_top_k(const ShardedArchive& sharded, const Ras
   MMIR_EXPECTS(k > 0);
   const TiledArchive& archive = sharded.archive();
   MMIR_EXPECTS(model.bands() == archive.band_count());
-  const auto shard_bound = [&](const ShardInfo& shard) { return model.bound(shard.band_ranges).hi; };
   return scatter_gather(
       sharded, "sharded_tile_screened", k, model.ops_per_evaluation(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold& shared, QueryContext& ctx) {
-        std::vector<double> scratch;  // scan_row_full's row buffer
-        screened_shard_scan(archive, model, shard, run, shared, ctx, shard_bound(shard),
-                            [&](const TileSummary& tile, ShardRun& r) {
-                              exec::scan_rect_full(archive, model, tile.x0,
-                                                   tile.x0 + tile.width, tile.y0,
-                                                   tile.y0 + tile.height, r.top, scratch, ctx,
-                                                   r.meter, r.tally);
-                            });
+        tile_screened_leg(archive, model, shard, run, shared, ctx);
       },
-      shard_bound);
+      [&](const ShardInfo& shard) { return whole_shard_bound(model, shard); });
 }
 
 ShardedTopK sharded_progressive_combined_top_k(const ShardedArchive& sharded,
@@ -754,26 +792,12 @@ ShardedTopK sharded_progressive_combined_top_k(const ShardedArchive& sharded,
   const TiledArchive& archive = sharded.archive();
   MMIR_EXPECTS(model.model().dim() == archive.band_count());
   const LinearRasterModel screen(model.model());
-  const auto shard_bound = [&](const ShardInfo& shard) {
-    return screen.bound(shard.band_ranges).hi;
-  };
   return scatter_gather(
       sharded, "sharded_progressive_combined", k, model.order().size(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold& shared, QueryContext& ctx) {
-        screened_shard_scan(
-            archive, screen, shard, run, shared, ctx, shard_bound(shard),
-            [&](const TileSummary& tile, ShardRun& r) {
-              exec::scan_rect_staged(
-                  archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
-                  tile.y0 + tile.height, r.top,
-                  [&] { return std::max(r.top.threshold(), shared.get()); },
-                  [&] {
-                    if (r.top.full()) shared.raise(r.top.threshold());
-                  },
-                  ctx, r.meter, r.tally);
-            });
+        combined_leg(archive, model, screen, shard, run, shared, ctx);
       },
-      shard_bound);
+      [&](const ShardInfo& shard) { return whole_shard_bound(screen, shard); });
 }
 
 ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t shard_id,
@@ -791,19 +815,16 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
   }
   const TiledArchive& archive = sharded.archive();
   const ShardInfo& shard = sharded.shard(shard_id);
-  const auto tiles = archive.tiles();
 
   const auto shard_bound = [&]() -> double {
     switch (mode) {
       case ShardScanMode::kFullScan:
       case ShardScanMode::kTileScreened:
-        return model->bound(shard.band_ranges).hi;
+        return whole_shard_bound(*model, shard);
       case ShardScanMode::kProgressiveModel:
-        return progressive->model().evaluate_interval(shard.band_ranges).hi;
-      case ShardScanMode::kCombined: {
-        const LinearRasterModel screen(progressive->model());
-        return screen.bound(shard.band_ranges).hi;
-      }
+        return whole_shard_bound(*progressive, shard);
+      case ShardScanMode::kCombined:
+        return whole_shard_bound(LinearRasterModel(progressive->model()), shard);
     }
     return kPosInf;
   };
@@ -824,77 +845,19 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
       run.missed_bound = shard_bound();
     } else {
       switch (mode) {
-        case ShardScanMode::kFullScan: {
-          std::vector<double> scratch;  // scan_row_full's row buffer
-          const std::uint64_t ops_before = run.meter.ops();
-          for (std::size_t t : shard.tiles) {
-            const TileSummary& tile = tiles[t];
-            ++run.tiles_scanned;
-            exec::scan_rect_full(archive, *model, tile.x0, tile.x0 + tile.width, tile.y0,
-                                 tile.y0 + tile.height, run.top, scratch, ctx, run.meter,
-                                 run.tally);
-            if (ctx.stopped()) break;
-          }
-          run.scan_ops = run.meter.ops() - ops_before;
-          if (ctx.stopped()) {
-            run.status = ctx.stop_reason();
-            run.missed_bound = shard_bound();
-          } else {
-            run.status = shard_completion_status(shard, run.tally.bad_points);
-          }
+        case ShardScanMode::kFullScan:
+          full_scan_leg(archive, *model, shard, run, ctx);
           break;
-        }
-        case ShardScanMode::kProgressiveModel: {
-          const std::uint64_t ops_before = run.meter.ops();
-          for (std::size_t t : shard.tiles) {
-            const TileSummary& tile = tiles[t];
-            ++run.tiles_scanned;
-            exec::scan_rect_staged(
-                archive, *progressive, tile.x0, tile.x0 + tile.width, tile.y0,
-                tile.y0 + tile.height, run.top,
-                [&] { return std::max(run.top.threshold(), shared.get()); },
-                [&] {
-                  if (run.top.full()) shared.raise(run.top.threshold());
-                },
-                ctx, run.meter, run.tally);
-            if (ctx.stopped()) break;
-          }
-          run.scan_ops = run.meter.ops() - ops_before;
-          if (ctx.stopped()) {
-            run.status = ctx.stop_reason();
-            run.missed_bound = shard_bound();
-          } else {
-            run.status = shard_completion_status(shard, run.tally.bad_points);
-          }
+        case ShardScanMode::kProgressiveModel:
+          staged_scan_leg(archive, *progressive, shard, run, shared, ctx);
           break;
-        }
-        case ShardScanMode::kTileScreened: {
-          std::vector<double> scratch;  // scan_row_full's row buffer
-          screened_shard_scan(archive, *model, shard, run, shared, ctx, shard_bound(),
-                              [&](const TileSummary& tile, ShardRun& r) {
-                                exec::scan_rect_full(archive, *model, tile.x0,
-                                                     tile.x0 + tile.width, tile.y0,
-                                                     tile.y0 + tile.height, r.top, scratch,
-                                                     ctx, r.meter, r.tally);
-                              });
+        case ShardScanMode::kTileScreened:
+          tile_screened_leg(archive, *model, shard, run, shared, ctx);
           break;
-        }
-        case ShardScanMode::kCombined: {
-          const LinearRasterModel screen(progressive->model());
-          screened_shard_scan(
-              archive, screen, shard, run, shared, ctx, shard_bound(),
-              [&](const TileSummary& tile, ShardRun& r) {
-                exec::scan_rect_staged(
-                    archive, *progressive, tile.x0, tile.x0 + tile.width, tile.y0,
-                    tile.y0 + tile.height, r.top,
-                    [&] { return std::max(r.top.threshold(), shared.get()); },
-                    [&] {
-                      if (r.top.full()) shared.raise(r.top.threshold());
-                    },
-                    ctx, r.meter, r.tally);
-              });
+        case ShardScanMode::kCombined:
+          combined_leg(archive, *progressive, LinearRasterModel(progressive->model()), shard,
+                       run, shared, ctx);
           break;
-        }
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <utility>
 
 namespace mmir {
 
@@ -140,6 +142,7 @@ void ThreadPool::parallel_for(
     std::atomic<std::size_t> next_slot{0};
     std::mutex mutex;
     std::condition_variable cv;
+    std::exception_ptr error;  ///< the first exception a body threw; under mutex
   };
   auto state = std::make_shared<ForState>();
   state->next.store(begin, std::memory_order_relaxed);
@@ -152,14 +155,29 @@ void ThreadPool::parallel_for(
   // caller is always one of the runners, so completion never depends on a
   // pool worker being free.  Late-running stolen/queued runners find the
   // cursor exhausted and exit without touching `body` (which may be gone).
+  // A body that throws does not escape its runner: the first exception is
+  // kept for the caller, the cursor is run out so no runner claims another
+  // chunk, and the chunks nobody will run count as done, so the completion
+  // handshake still ends and no runner touches `body` after the caller
+  // returns.
   auto run = [](const std::shared_ptr<ForState>& st) {
     const std::size_t slot = st->next_slot.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
       const std::size_t lo = st->next.fetch_add(st->grain, std::memory_order_relaxed);
       if (lo >= st->end) return;
       const std::size_t hi = std::min(lo + st->grain, st->end);
-      (*st->body)(lo, hi, slot);
-      if (st->done.fetch_add(hi - lo, std::memory_order_acq_rel) + (hi - lo) == st->total) {
+      std::size_t finished = hi - lo;
+      try {
+        (*st->body)(lo, hi, slot);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(st->mutex);
+          if (!st->error) st->error = std::current_exception();
+        }
+        const std::size_t unclaimed = st->next.exchange(st->end, std::memory_order_relaxed);
+        if (unclaimed < st->end) finished += st->end - unclaimed;
+      }
+      if (st->done.fetch_add(finished, std::memory_order_acq_rel) + finished == st->total) {
         std::lock_guard<std::mutex> lock(st->mutex);
         st->cv.notify_all();
       }
@@ -174,6 +192,12 @@ void ThreadPool::parallel_for(
   std::unique_lock<std::mutex> lock(state->mutex);
   state->cv.wait(lock,
                  [&] { return state->done.load(std::memory_order_acquire) == state->total; });
+  // Move the exception out of the shared state: a helper may drop the last
+  // reference to the state after we return, and must not be the one that
+  // frees the exception the caller is still handling.
+  if (std::exception_ptr error = std::exchange(state->error, nullptr)) {
+    std::rethrow_exception(error);
+  }
 }
 
 }  // namespace mmir

@@ -67,7 +67,10 @@ class ThreadPool {
   /// the same slot never run concurrently, so body may use slot to index
   /// unsynchronized per-worker state.  Returns once every chunk has run;
   /// the completion handshake is acquire/release, so everything the bodies
-  /// wrote happens-before the return.
+  /// wrote happens-before the return.  A body that throws stops the loop:
+  /// chunks not yet claimed are skipped, chunks already running finish, and
+  /// the first exception is rethrown on the caller once no runner holds
+  /// `body` any more.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
 

@@ -8,10 +8,13 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "archive/sharded.hpp"
 #include "core/progressive_exec.hpp"
 #include "data/scene.hpp"
 #include "data/tuples.hpp"
@@ -608,6 +611,113 @@ TEST(QueryEngine, ExecutionFailurePropagatesThroughTheFuture) {
   engine.drain();
   EXPECT_EQ(engine.stats().failed, 1u);
   EXPECT_EQ(engine.stats().completed, 0u);
+}
+
+/// A non-linear model whose every evaluation throws.  It takes the
+/// per-pixel path, so it throws on whichever thread scans a pixel: a pool
+/// worker as well as the dispatcher.
+class ThrowingModel final : public RasterModel {
+ public:
+  explicit ThrowingModel(std::size_t bands) : bands_(bands) {}
+  [[nodiscard]] std::size_t bands() const override { return bands_; }
+  [[nodiscard]] double evaluate(std::span<const double>) const override {
+    throw std::runtime_error("model fault");
+  }
+  [[nodiscard]] Interval bound(std::span<const Interval>) const override { return {-1.0, 1.0}; }
+  [[nodiscard]] std::size_t ops_per_evaluation() const override { return bands_; }
+
+ private:
+  std::size_t bands_;
+};
+
+/// `future` holds the model's exception, not a value.
+template <typename Outcome>
+void expect_model_fault(std::future<Outcome>& future) {
+  try {
+    (void)future.get();
+    ADD_FAILURE() << "the future holds no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "model fault");
+  }
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheFirstBodyExceptionOnceNoRunnerHoldsTheBody) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<bool> returned{false};
+    std::atomic<int> late_calls{0};
+    try {
+      pool.parallel_for(0, 64, 1, [&](std::size_t lo, std::size_t, std::size_t) {
+        if (returned.load()) late_calls.fetch_add(1);
+        if (lo % 8 == 3) throw std::runtime_error("model fault");
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      });
+      ADD_FAILURE() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "model fault");
+    }
+    returned.store(true);
+    // Helpers still queued from this call must find the loop finished.
+    pool.parallel_for(0, 8, 1, [](std::size_t, std::size_t, std::size_t) {});
+    ASSERT_EQ(late_calls.load(), 0) << "round " << round;
+  }
+}
+
+TEST(QueryEngine, ModelExceptionOnAPoolWorkerReachesTheFuture) {
+  const EngineWorkload w;
+  const ThrowingModel thrower(w.archive.band_count());
+  EngineConfig config;
+  config.dispatchers = 1;
+  config.intra_query_threads = 3;
+  QueryEngine engine(config);
+  CostMeter meter;
+  const std::vector<RasterHit> serial = full_scan_top_k(w.archive, w.raster_model, 6, meter);
+  for (int round = 0; round < 10; ++round) {
+    RasterJob job;
+    job.mode = RasterJob::Mode::kFullScan;
+    job.archive = &w.archive;
+    job.model = &thrower;
+    job.k = 6;
+    auto failing = engine.submit(job);
+    expect_model_fault(failing);
+    job.model = &w.raster_model;
+    const RasterOutcome next = engine.submit(job).get();
+    ASSERT_EQ(next.result.hits.size(), serial.size()) << "round " << round;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(next.result.hits[i].score, serial[i].score) << "round " << round;
+    }
+  }
+  engine.drain();
+  EXPECT_EQ(engine.stats().failed, 10u);
+}
+
+TEST(QueryEngine, ModelExceptionInAShardLegReachesTheFuture) {
+  const EngineWorkload w;
+  const ThrowingModel thrower(w.archive.band_count());
+  const ShardedArchive sharded(w.archive, 4);
+  EngineConfig config;
+  config.dispatchers = 1;
+  config.intra_query_threads = 3;
+  QueryEngine engine(config);
+  CostMeter meter;
+  const std::vector<RasterHit> serial = full_scan_top_k(w.archive, w.raster_model, 6, meter);
+  for (int round = 0; round < 10; ++round) {
+    ShardedRasterJob job;
+    job.mode = RasterJob::Mode::kFullScan;
+    job.sharded = &sharded;
+    job.model = &thrower;
+    job.k = 6;
+    auto failing = engine.submit(job);
+    expect_model_fault(failing);
+    job.model = &w.raster_model;
+    const ShardedRasterOutcome next = engine.submit(job).get();
+    ASSERT_EQ(next.result.merged.hits.size(), serial.size()) << "round " << round;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(next.result.merged.hits[i].score, serial[i].score) << "round " << round;
+    }
+  }
+  engine.drain();
+  EXPECT_EQ(engine.stats().failed, 10u);
 }
 
 TEST(QueryEngine, ConcurrentMixedLoadCompletesEverything) {

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "archive/sharded.hpp"
+#include "core/exec_kernels.hpp"
 #include "core/progressive_exec.hpp"
 #include "data/scene.hpp"
 #include "engine/scheduler.hpp"
@@ -388,6 +391,286 @@ TEST(ShardParity, EngineShardedJobAndCachedReplayAgree) {
     for (std::uint64_t s : failing_seeds) os << ' ' << s;
     ADD_FAILURE() << os.str();
   }
+}
+
+// ------------------------------------------------ one shard and the walker
+//
+// A shard leg scans its tile list through exec::walk_tile_spans: per tile
+// row, runs of adjacent tiles become one span and each pixel row of the
+// span is one row-kernel call.  That is row-major order over the shard's
+// pixels, so a one-shard row-band leg runs the serial full scan itself.
+
+std::uint64_t bits_of(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Byte-for-byte equality of two full-scan answers and the ops behind them.
+void expect_same_answer(const RasterTopK& expected, std::uint64_t expected_ops,
+                        const RasterTopK& got, std::uint64_t got_ops, const std::string& where) {
+  EXPECT_EQ(got.status, expected.status) << where;
+  EXPECT_EQ(bits_of(got.missed_bound), bits_of(expected.missed_bound)) << where;
+  EXPECT_EQ(got.bad_points, expected.bad_points) << where;
+  EXPECT_EQ(got_ops, expected_ops) << where;
+  ASSERT_EQ(got.hits.size(), expected.hits.size()) << where;
+  for (std::size_t i = 0; i < expected.hits.size(); ++i) {
+    EXPECT_EQ(got.hits[i].x, expected.hits[i].x) << where << " rank " << i;
+    EXPECT_EQ(got.hits[i].y, expected.hits[i].y) << where << " rank " << i;
+    EXPECT_EQ(bits_of(got.hits[i].score), bits_of(expected.hits[i].score))
+        << where << " rank " << i;
+  }
+}
+
+TEST(ShardParity, OneShardBudgetSweepMatchesSerialByteForByte) {
+  // 70x45 at tile 16 leaves 6-pixel-wide and 13-pixel-tall edge tiles.
+  ScenarioConfig cfg;
+  cfg.kind = ScenarioKind::kDense;
+  cfg.width = 70;
+  cfg.height = 45;
+  cfg.tile_size = 16;
+  cfg.seed = 4501;
+  const GeneratedArchive gen = generate_scenario(cfg);
+  const TiledArchive& archive = gen.tiled();
+  const ShardedArchive sharded(archive, 1, ShardPolicy::kRowBands);
+  const LinearRasterModel model(
+      LinearModel({0.61, -1.37, 0.83, 1.12}, 0.3, {"b0", "b1", "b2", "b3"}));
+  constexpr std::size_t kK = 7;
+  const std::uint64_t cost = archive.pixel_count() * model.ops_per_evaluation();
+  ThreadPool pool(0);
+  std::size_t cases = 0;
+  for (std::uint64_t budget = 0; budget <= cost + 8; budget += 7) {
+    const std::string where = "budget " + std::to_string(budget);
+    QueryContext serial_ctx;
+    serial_ctx.with_op_budget(budget);
+    CostMeter serial_meter;
+    const RasterTopK serial = full_scan_top_k(archive, model, kK, serial_ctx, serial_meter);
+
+    QueryContext sharded_ctx;
+    sharded_ctx.with_op_budget(budget);
+    CostMeter sharded_meter;
+    const ShardedTopK merged =
+        sharded_full_scan_top_k(sharded, model, kK, sharded_ctx, sharded_meter, pool);
+    expect_same_answer(serial, serial_meter.ops(), merged.merged, sharded_meter.ops(),
+                       where + " sharded_full_scan_top_k");
+
+    QueryContext leg_ctx;
+    leg_ctx.with_op_budget(budget);
+    CostMeter leg_meter;
+    const ShardScanResult leg = scan_shard_partial(sharded, 0, ShardScanMode::kFullScan, &model,
+                                                   nullptr, kK, leg_ctx, leg_meter);
+    expect_same_answer(serial, serial_meter.ops(), leg.partial.result, leg_meter.ops(),
+                       where + " scan_shard_partial");
+    ++cases;
+  }
+  EXPECT_EQ(cases, 1802u);
+}
+
+/// Scenario archives for the walker tests: the exact-tie and NaN kinds, at
+/// sizes that leave narrow and short edge tiles.
+const std::vector<GeneratedArchive>& walker_pool() {
+  static const auto pool = [] {
+    std::vector<GeneratedArchive> p;
+    const auto add = [&](ScenarioKind kind, std::size_t width, std::size_t height,
+                         std::size_t tile, std::uint64_t seed) {
+      ScenarioConfig cfg;
+      cfg.kind = kind;
+      cfg.width = width;
+      cfg.height = height;
+      cfg.tile_size = tile;
+      cfg.seed = seed;
+      p.push_back(generate_scenario(cfg));
+    };
+    add(ScenarioKind::kTieStorm, 50, 37, 8, 601);
+    add(ScenarioKind::kConstantTile, 44, 29, 8, 602);
+    add(ScenarioKind::kAllNaNBand, 41, 35, 16, 603);
+    return p;
+  }();
+  return pool;
+}
+
+/// Runs `check(archive, sharded, shard, where)` on every shard of every
+/// walker_pool archive under both policies at 1, 3 and 4 shards.
+template <typename Check>
+void for_every_walker_shard(Check&& check) {
+  for (const GeneratedArchive& gen : walker_pool()) {
+    for (ShardPolicy policy : {ShardPolicy::kRowBands, ShardPolicy::kTileHash}) {
+      for (std::size_t shards : {1UL, 3UL, 4UL}) {
+        const ShardedArchive sharded(gen.tiled(), shards, policy);
+        for (const ShardInfo& shard : sharded.shards()) {
+          const std::string where =
+              "kind=" + std::to_string(static_cast<int>(gen.config.kind)) + " policy=" +
+              std::string(shard_policy_name(policy)) + " shards=" + std::to_string(shards) +
+              " shard=" + std::to_string(shard.id);
+          SCOPED_TRACE(where);
+          check(gen.tiled(), sharded, shard);
+        }
+      }
+    }
+  }
+}
+
+/// Integer weights and a quarter-integer bias: exact ties stay exact.
+LinearModel walker_model() {
+  return LinearModel({2.0, -1.0, 1.0, 1.0}, 0.25, {"b0", "b1", "b2", "b3"});
+}
+
+TEST(ShardWalker, VisitsEveryPixelOfTheTileListOnceInRowMajorOrder) {
+  for_every_walker_shard([](const TiledArchive& archive, const ShardedArchive& sharded,
+                            const ShardInfo& shard) {
+    std::vector<int> visits(archive.pixel_count(), 0);
+    std::uint64_t last_rank = 0;
+    bool first = true;
+    bool ordered = true;
+    bool whole_rows = true;
+    QueryContext ctx;
+    exec::ScanTally tally;
+    const std::uint64_t entered = exec::walk_tile_spans(
+        archive, shard.tiles, ctx, tally, [&](std::size_t x0, std::size_t x1, std::size_t y) {
+          if (!first && exec::pixel_rank(x0, y) <= last_rank) ordered = false;
+          if (x0 != 0 || x1 != archive.width()) whole_rows = false;
+          for (std::size_t x = x0; x < x1; ++x) ++visits[y * archive.width() + x];
+          first = false;
+          last_rank = exec::pixel_rank(x1 - 1, y);
+          tally.pixels += x1 - x0;
+          return true;
+        });
+    EXPECT_EQ(entered, shard.tiles.size());
+    EXPECT_EQ(tally.pixels, shard.pixel_count);
+    EXPECT_TRUE(ordered) << "spans out of row-major order";
+    if (sharded.policy() == ShardPolicy::kRowBands) {
+      EXPECT_TRUE(whole_rows) << "a row-band shard was not walked as whole rows";
+    }
+    for (std::size_t y = 0; y < archive.height(); ++y) {
+      for (std::size_t x = 0; x < archive.width(); ++x) {
+        const std::size_t t =
+            (y / archive.tile_size()) * archive.tiles_x() + x / archive.tile_size();
+        const int expected = sharded.owner_of_tile(t) == shard.id ? 1 : 0;
+        ASSERT_EQ(visits[y * archive.width() + x], expected) << "pixel " << x << "," << y;
+      }
+    }
+  });
+}
+
+TEST(ShardWalker, CompleteWalksMatchTheTileByTileLoop) {
+  const LinearRasterModel raster(walker_model());
+  for_every_walker_shard([&](const TiledArchive& archive, const ShardedArchive&,
+                             const ShardInfo& shard) {
+    const auto tiles = archive.tiles();
+    // Full model: hits, score bytes, tally and meter all agree.
+    QueryContext walk_ctx;
+    CostMeter walk_meter;
+    exec::ScanTally walk_tally;
+    TopK<RasterHit> walk_top(9);
+    EXPECT_EQ(exec::scan_tiles_full(archive, raster, shard.tiles, walk_top, walk_ctx, walk_meter,
+                                    walk_tally),
+              shard.tiles.size());
+    QueryContext loop_ctx;
+    CostMeter loop_meter;
+    exec::ScanTally loop_tally;
+    TopK<RasterHit> loop_top(9);
+    std::vector<double> scratch;
+    for (std::size_t t : shard.tiles) {
+      exec::scan_rect_full(archive, raster, tiles[t].x0, tiles[t].x0 + tiles[t].width,
+                           tiles[t].y0, tiles[t].y0 + tiles[t].height, loop_top, scratch,
+                           loop_ctx, loop_meter, loop_tally);
+    }
+    RasterTopK walked;
+    walked.hits = exec::finalize(walk_top);
+    walked.bad_points = walk_tally.bad_points;
+    RasterTopK looped;
+    looped.hits = exec::finalize(loop_top);
+    looped.bad_points = loop_tally.bad_points;
+    expect_same_answer(looped, loop_meter.ops(), walked, walk_meter.ops(), "full");
+    EXPECT_EQ(walk_tally.pixels, loop_tally.pixels);
+    EXPECT_EQ(walk_meter.points(), loop_meter.points());
+    EXPECT_EQ(walk_meter.bytes(), loop_meter.bytes());
+
+    // Staged model: the same canonical hits (ops and abandoned NaN pixels
+    // depend on visit order through the heap threshold).
+    const auto ranges = archive.band_ranges();
+    const ProgressiveLinearModel staged(walker_model(), {ranges.begin(), ranges.end()});
+    QueryContext staged_walk_ctx;
+    CostMeter staged_walk_meter;
+    exec::ScanTally staged_walk_tally;
+    TopK<RasterHit> staged_walk_top(9);
+    EXPECT_EQ(exec::scan_tiles_staged(
+                  archive, staged, shard.tiles, staged_walk_top,
+                  [&] { return staged_walk_top.threshold(); }, [] {}, staged_walk_ctx,
+                  staged_walk_meter, staged_walk_tally),
+              shard.tiles.size());
+    QueryContext staged_loop_ctx;
+    CostMeter staged_loop_meter;
+    exec::ScanTally staged_loop_tally;
+    TopK<RasterHit> staged_loop_top(9);
+    for (std::size_t t : shard.tiles) {
+      exec::scan_rect_staged(
+          archive, staged, tiles[t].x0, tiles[t].x0 + tiles[t].width, tiles[t].y0,
+          tiles[t].y0 + tiles[t].height, staged_loop_top,
+          [&] { return staged_loop_top.threshold(); }, [] {}, staged_loop_ctx,
+          staged_loop_meter, staged_loop_tally);
+    }
+    RasterTopK staged_walked;
+    staged_walked.hits = exec::finalize(staged_walk_top);
+    RasterTopK staged_looped;
+    staged_looped.hits = exec::finalize(staged_loop_top);
+    expect_same_answer(staged_looped, 0, staged_walked, 0, "staged");
+    EXPECT_EQ(staged_walk_tally.pixels, staged_loop_tally.pixels);
+  });
+}
+
+TEST(ShardWalker, TilesScannedCountsOnlyTilesEnteredBeforeATrip) {
+  // A single worker's full scan trips on exactly the per-pixel unit, so a
+  // budget of m pixels visits the first m of the shard's pixels in
+  // row-major order; the tiles scanned are those whose top-left pixel is
+  // among them.  Budgets stop the walk at and around every tile boundary
+  // inside the first row of every span.
+  const LinearRasterModel raster(walker_model());
+  const std::uint64_t unit = raster.ops_per_evaluation();
+  std::size_t trips = 0;
+  for_every_walker_shard([&](const TiledArchive& archive, const ShardedArchive&,
+                             const ShardInfo& shard) {
+    const auto tiles = archive.tiles();
+    const std::size_t ts = archive.tile_size();
+    // The shard's pixels in row-major order, and each one's position there.
+    std::vector<std::uint64_t> order_of(archive.pixel_count(), 0);
+    std::vector<std::pair<std::size_t, std::size_t>> pixels;
+    for (std::size_t y = 0; y < archive.height(); ++y) {
+      for (std::size_t x = 0; x < archive.width(); ++x) {
+        const std::size_t t = (y / ts) * archive.tiles_x() + x / ts;
+        if (std::find(shard.tiles.begin(), shard.tiles.end(), t) == shard.tiles.end()) continue;
+        order_of[y * archive.width() + x] = pixels.size();
+        pixels.emplace_back(x, y);
+      }
+    }
+    for (std::size_t i = 0; i < shard.tiles.size(); ++i) {
+      const TileSummary& tile = tiles[shard.tiles[i]];
+      // Only the first tile of a span starts the span's first row.
+      if (i > 0 && shard.tiles[i - 1] + 1 == shard.tiles[i] &&
+          shard.tiles[i - 1] / archive.tiles_x() == shard.tiles[i] / archive.tiles_x()) {
+        continue;
+      }
+      const std::uint64_t start = order_of[tile.y0 * archive.width() + tile.x0];
+      for (std::uint64_t offset : {0UL, 1UL, ts - 1, ts, ts + 1, 2 * ts - 1, 2 * ts, 2 * ts + 3}) {
+        const std::uint64_t visited = start + offset;
+        if (visited >= pixels.size() || pixels[visited].second != tile.y0) continue;
+        for (std::uint64_t extra : {0UL, unit - 1}) {
+          QueryContext ctx;
+          ctx.with_op_budget(visited * unit + extra);
+          CostMeter meter;
+          exec::ScanTally tally;
+          TopK<RasterHit> top(5);
+          const std::uint64_t entered =
+              exec::scan_tiles_full(archive, raster, shard.tiles, top, ctx, meter, tally);
+          std::uint64_t expected = 0;
+          for (std::size_t t : shard.tiles) {
+            if (order_of[tiles[t].y0 * archive.width() + tiles[t].x0] < visited) ++expected;
+          }
+          ASSERT_TRUE(ctx.stopped()) << "budget " << visited * unit + extra;
+          EXPECT_EQ(tally.pixels, visited) << "budget " << visited * unit + extra;
+          EXPECT_EQ(entered, expected) << "budget " << visited * unit + extra;
+          ++trips;
+        }
+      }
+    }
+  });
+  EXPECT_GT(trips, 0u);
 }
 
 }  // namespace
