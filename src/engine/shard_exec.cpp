@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -368,32 +369,46 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
     // queued behind the backlog that made the primary straggle would be
     // useless).  Tasks decrement their counter and notify while holding the
     // mutex, so the coordinator cannot destroy the cv between a task's
-    // unlock and its notify.
+    // unlock and its notify.  A leg that throws (a model error) records the
+    // first exception and still counts itself done; the coordinator
+    // launches no further hedges and rethrows once every leg has finished,
+    // as parallel_for does.
     std::mutex wait_mutex;
     std::condition_variable wait_cv;
     std::size_t primaries_left = count;
     std::size_t hedges_left = 0;
+    std::exception_ptr error;  // first leg exception; under wait_mutex
+    const auto guarded = [&](auto&& leg_body) {
+      try {
+        leg_body();
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(wait_mutex);
+        if (!error) error = std::current_exception();
+      }
+    };
     for (std::size_t s = 0; s < count; ++s) {
       pool.submit([&, s] {
-        {
+        guarded([&] {
           ShardSlot& slot = *slots[s];
           const std::string name = "shard_" + std::to_string(s);
           obs::Span shard_span = obs::Span::child_of(&span, name);
           run_leg(s, 0, slot.primary, slot);
           annotate_leg(shard_span, sharded.shard(s), slot.primary);
           slot.primary_finished.store(true, std::memory_order_release);
-        }
+        });
         std::lock_guard<std::mutex> lock(wait_mutex);
         --primaries_left;
         wait_cv.notify_all();
       });
     }
+    bool failed = false;
     {
       std::unique_lock<std::mutex> lock(wait_mutex);
       wait_cv.wait_until(lock, std::chrono::steady_clock::now() + policy.hedge_delay,
                          [&] { return primaries_left == 0; });
+      failed = error != nullptr;
     }
-    for (std::size_t s = 0; s < count && !ctx.stopped(); ++s) {
+    for (std::size_t s = 0; s < count && !failed && !ctx.stopped(); ++s) {
       ShardSlot& slot = *slots[s];
       if (sharded.shard(s).tiles.empty()) continue;
       if (slot.primary_finished.load(std::memory_order_acquire) && slot.primary.clean) continue;
@@ -403,7 +418,7 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
         ++hedges_left;
       }
       pool.submit_urgent([&, s] {
-        {
+        guarded([&] {
           ShardSlot& hedge_slot = *slots[s];
           // Skip if the primary won (or the query died) while this hedge
           // waited in the queue; the launch still counts as a hedge.
@@ -414,7 +429,7 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
             annotate_leg(shard_span, sharded.shard(s), hedge_slot.hedge);
             if (shard_span.active()) shard_span.note("leg", "hedge");
           }
-        }
+        });
         std::lock_guard<std::mutex> lock(wait_mutex);
         --hedges_left;
         wait_cv.notify_all();
@@ -422,6 +437,7 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
     }
     std::unique_lock<std::mutex> lock(wait_mutex);
     wait_cv.wait(lock, [&] { return primaries_left == 0 && hedges_left == 0; });
+    if (error) std::rethrow_exception(error);
   }
 
   // Gather in shard-id order (deterministic regardless of leg interleaving).

@@ -20,19 +20,21 @@ OnionIndex::OnionIndex(const TupleSet& points, OnionConfig config) : points_(poi
   if (!exact_) {
     // Sample unit directions once; peeling extremes over them approximates
     // the hull vertex set in high dimensions.
+    // Stored dim-major, so one peel pass scores every direction per point.
     MMIR_EXPECTS(config.direction_samples > 0);
+    const std::size_t dim = points_.dim();
+    const std::size_t count = config.direction_samples;
     Rng rng(config.seed);
-    directions_.reserve(config.direction_samples);
-    for (std::size_t s = 0; s < config.direction_samples; ++s) {
-      std::vector<double> dir(points_.dim());
+    directions_.resize(dim * count);
+    std::vector<double> dir(dim);
+    for (std::size_t j = 0; j < count; ++j) {
       double norm = 0.0;
       for (auto& v : dir) {
         v = rng.normal();
         norm += v * v;
       }
       norm = std::sqrt(norm);
-      for (auto& v : dir) v /= norm;
-      directions_.push_back(std::move(dir));
+      for (std::size_t d = 0; d < dim; ++d) directions_[d * count + j] = dir[d] / norm;
     }
   }
   build(config);
@@ -94,26 +96,45 @@ std::vector<std::uint32_t> OnionIndex::peel_once(std::span<const std::uint32_t> 
     case 3:
       return convex_hull_3d(points_, alive);
     default: {
-      // Directional-extreme peel: argmax and argmin per sampled direction.
-      std::vector<std::uint32_t> extremes;
-      for (const auto& dir : directions_) {
-        std::uint32_t best_max = alive[0];
-        std::uint32_t best_min = alive[0];
-        double vmax = dot(points_.row(alive[0]), dir);
-        double vmin = vmax;
-        for (auto id : alive) {
-          const double v = dot(points_.row(id), dir);
-          if (v > vmax) {
-            vmax = v;
-            best_max = id;
+      // Directional-extreme peel: argmax and argmin per sampled direction,
+      // all directions scored in one walk over the alive points.  Each score
+      // sums row[d]·dir[d] in index order from 0 (dot()'s arithmetic), and
+      // the strict comparisons in alive order keep the first id on ties.
+      const std::size_t dim = points_.dim();
+      const std::size_t count = directions_.size() / dim;
+      std::vector<double> score(count);
+      const auto score_all = [&](std::uint32_t id) {
+        const auto row = points_.row(id);
+        std::fill(score.begin(), score.end(), 0.0);
+        for (std::size_t d = 0; d < dim; ++d) {
+          const double x = row[d];
+          const double* dir = directions_.data() + d * count;
+          for (std::size_t j = 0; j < count; ++j) score[j] += x * dir[j];
+        }
+      };
+      score_all(alive[0]);
+      std::vector<double> vmax = score;
+      std::vector<double> vmin = score;
+      std::vector<std::uint32_t> best_max(count, alive[0]);
+      std::vector<std::uint32_t> best_min(count, alive[0]);
+      for (auto id : alive.subspan(1)) {
+        score_all(id);
+        for (std::size_t j = 0; j < count; ++j) {
+          if (score[j] > vmax[j]) {
+            vmax[j] = score[j];
+            best_max[j] = id;
           }
-          if (v < vmin) {
-            vmin = v;
-            best_min = id;
+          if (score[j] < vmin[j]) {
+            vmin[j] = score[j];
+            best_min[j] = id;
           }
         }
-        extremes.push_back(best_max);
-        extremes.push_back(best_min);
+      }
+      std::vector<std::uint32_t> extremes;
+      extremes.reserve(2 * count);
+      for (std::size_t j = 0; j < count; ++j) {
+        extremes.push_back(best_max[j]);
+        extremes.push_back(best_min[j]);
       }
       std::sort(extremes.begin(), extremes.end());
       extremes.erase(std::unique(extremes.begin(), extremes.end()), extremes.end());

@@ -103,7 +103,9 @@ class OnionIndex {
   std::vector<Interval> residual_box_;  ///< box over the residual alone
   std::vector<std::uint32_t> residual_;
   bool exact_ = true;
-  std::vector<std::vector<double>> directions_;  // dim > 3 peeling directions
+  /// dim > 3 peeling directions, dim-major: component d of direction j is
+  /// directions_[d * direction_samples + j].
+  std::vector<double> directions_;
 };
 
 /// Merges per-shard Onion partials into one global OnionTopK of size at most

@@ -155,7 +155,7 @@ void stitch_remote_trace(const obs::Span& leg_span, std::size_t shard, const Wir
   leg.queue_ns = std::min(remote.queue_wait_ns, server_held);
   leg.scan_ns = server_held - leg.queue_ns;
 
-  // wire: everything the server did NOT hold the request — connect, both
+  // wire: everything the server did NOT hold the request — any connect, both
   // frame transfers, kernel queues.  Rendered from the attempt's start so
   // the three rows tile the leg window.
   const std::size_t wire_idx =
@@ -241,6 +241,61 @@ Router::Router(RouterConfig config) : config_(std::move(config)) {
   }
 }
 
+Router::Connection Router::take_connection(std::uint16_t port, bool fresh) {
+  while (!fresh) {
+    Socket sock;
+    {
+      const std::lock_guard<std::mutex> lock(pool_mutex_);
+      std::vector<Socket>& idle = idle_[port];
+      if (idle.empty()) break;
+      sock = std::move(idle.back());
+      idle.pop_back();
+    }
+    if (sock.idle_open()) return Connection{std::move(sock), true};
+  }
+  return Connection{Socket::connect_loopback(port), false};
+}
+
+void Router::return_connection(std::uint16_t port, Socket sock) {
+  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  idle_[port].push_back(std::move(sock));
+}
+
+Router::Exchange Router::round_trip(std::uint16_t port, MsgType type,
+                                    std::span<const std::uint8_t> payload,
+                                    std::chrono::steady_clock::time_point deadline,
+                                    const std::atomic<bool>* cancel, RoundTrip& out) {
+  Connection conn = take_connection(port);
+  for (;;) {
+    if (!conn.sock.valid()) return Exchange::kTransient;
+    out.bytes_sent = 0;
+    out.sent_ns = steady_now_ns();
+    if (write_frame(conn.sock, type, payload)) {
+      out.bytes_sent = payload.size() + kFrameHeaderBytes + kFrameTrailerBytes;
+      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (remaining.count() <= 0) return Exchange::kNoReply;
+      try {
+        out.raw = read_frame_bytes(conn.sock, remaining, cancel);
+        out.recv_ns = steady_now_ns();
+        out.sock = std::move(conn.sock);
+        return Exchange::kReply;
+      } catch (const WireError& err) {
+        if (err.fault() != WireFault::kClosed) return Exchange::kTransient;
+        // A silent peer (deadline) or a cancel is this attempt's answer;
+        // only a reused connection whose peer hung up is stale.
+        const bool cancelled = cancel != nullptr && cancel->load(std::memory_order_acquire);
+        if (!conn.reused || cancelled || conn.sock.idle_open()) return Exchange::kNoReply;
+      }
+    } else if (!conn.reused) {
+      return Exchange::kTransient;
+    }
+    // The pooled connection died between its liveness check and the
+    // request, before any reply byte: reconnect and resend, once.
+    conn = take_connection(port, /*fresh=*/true);
+  }
+}
+
 ShardDescription Router::describe_shard(std::uint64_t archive_id, std::uint32_t shard_count,
                                         std::uint8_t policy, std::uint32_t shard) {
   const auto key = std::make_tuple(archive_id, shard_count, policy, shard);
@@ -249,22 +304,27 @@ ShardDescription Router::describe_shard(std::uint64_t archive_id, std::uint32_t 
     const auto it = meta_cache_.find(key);
     if (it != meta_cache_.end()) return it->second;
   }
-  ShardDescription info;
-  Socket sock = Socket::connect_loopback(config_.ports[shard]);
-  if (!sock.valid()) return info;
   DescribeSpec spec;
   spec.archive_id = archive_id;
   spec.shard_count = shard_count;
   spec.shard_policy = policy;
   spec.shard_id = shard;
-  if (!write_frame(sock, MsgType::kDescribe, encode_describe(spec))) return info;
+  const std::uint16_t port = config_.ports[shard];
+  RoundTrip trip;
+  if (round_trip(port, MsgType::kDescribe, encode_describe(spec),
+                 std::chrono::steady_clock::now() + config_.default_leg_timeout, nullptr,
+                 trip) != Exchange::kReply) {
+    return ShardDescription{};
+  }
+  ShardDescription info;
   try {
-    const Frame frame = read_frame(sock, config_.default_leg_timeout);
+    const Frame frame = decode_frame(trip.raw);
     if (frame.type != MsgType::kShardInfo) return info;
     info = decode_shard_info(frame.payload);
   } catch (const WireError&) {
     return ShardDescription{};
   }
+  return_connection(port, std::move(trip.sock));
   if (info.known) {
     const std::lock_guard<std::mutex> lock(meta_mutex_);
     meta_cache_.emplace(key, info);
@@ -376,6 +436,7 @@ RouterResult Router::execute(const RouterQuery& query, QueryContext& ctx, CostMe
     ExponentialBackoff backoff(
         retry, mix64(static_cast<std::uint64_t>(s) * 2 + static_cast<std::uint64_t>(leg_id)));
     const int attempt_base = leg_id == 0 ? 0 : kHedgeAttemptBase;
+    const std::vector<std::uint8_t> payload = encode_query(specs[s]);
 
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       if (leg.cancel.load(std::memory_order_acquire)) return;
@@ -408,84 +469,66 @@ RouterResult Router::execute(const RouterQuery& query, QueryContext& ctx, CostMe
 
       if (!transient && !timed_out) {
         const std::int64_t attempt_start = steady_now_ns();
-        Socket sock = Socket::connect_loopback(config_.ports[s]);
-        if (!sock.valid()) {
+        RoundTrip trip;
+        const Exchange sent =
+            round_trip(config_.ports[s], MsgType::kQuery, payload, deadline, &leg.cancel, trip);
+        leg.bytes_sent += trip.bytes_sent;
+        if (sent == Exchange::kTransient) {
           transient = true;
+        } else if (sent == Exchange::kNoReply) {
+          // A lost hedge race or an expired query resolves just below;
+          // otherwise the attempt timed out.
+          timed_out = true;
         } else {
-          const std::vector<std::uint8_t> payload = encode_query(specs[s]);
-          const std::int64_t t0 = steady_now_ns();
-          if (!write_frame(sock, MsgType::kQuery, payload)) {
-            transient = true;
-          } else {
-            leg.bytes_sent += payload.size() + kFrameHeaderBytes + kFrameTrailerBytes;
-            const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-            if (remaining.count() <= 0) {
-              timed_out = true;
-            } else {
-              try {
-                std::vector<std::uint8_t> raw = read_frame_bytes(sock, remaining, &leg.cancel);
-                const std::int64_t t1 = steady_now_ns();
-                leg.bytes_received += raw.size();
-                if (action.kind == ShardFault::kCorrupt &&
-                    raw.size() > kFrameHeaderBytes + kFrameTrailerBytes) {
-                  // Model wire corruption by flipping one deterministic
-                  // payload byte; decode_frame's checksum catches it below.
-                  const std::size_t len = raw.size() - kFrameHeaderBytes - kFrameTrailerBytes;
-                  const std::uint64_t mix = mix64(query_id ^ (static_cast<std::uint64_t>(s) << 32) ^
-                                                  static_cast<std::uint64_t>(attempt_base + attempt));
-                  raw[kFrameHeaderBytes + static_cast<std::size_t>(mix % len)] ^= 0x5a;
+          std::vector<std::uint8_t>& raw = trip.raw;
+          leg.bytes_received += raw.size();
+          if (action.kind == ShardFault::kCorrupt &&
+              raw.size() > kFrameHeaderBytes + kFrameTrailerBytes) {
+            // Model wire corruption by flipping one deterministic payload
+            // byte; decode_frame's checksum catches it below.
+            const std::size_t len = raw.size() - kFrameHeaderBytes - kFrameTrailerBytes;
+            const std::uint64_t mix = mix64(query_id ^ (static_cast<std::uint64_t>(s) << 32) ^
+                                            static_cast<std::uint64_t>(attempt_base + attempt));
+            raw[kFrameHeaderBytes + static_cast<std::size_t>(mix % len)] ^= 0x5a;
+          }
+          try {
+            const Frame frame = decode_frame(raw);
+            if (frame.type == MsgType::kResult) {
+              WirePartial reply = decode_partial(frame.payload);
+              if (reply.partial.shard_id != s) {
+                transient = true;
+              } else if (reply.partial.result.status == ResultStatus::kShed) {
+                // Server back-pressure: the scan never ran; retry.
+                transient = true;
+              } else {
+                return_connection(config_.ports[s], std::move(trip.sock));
+                leg.reply = std::move(reply);
+                leg.ok = leg.clean = true;
+                if (leg.reply.has_trace && leg_span.active()) {
+                  ClockSample sample;
+                  sample.t0 = trip.sent_ns;
+                  sample.t1 = trip.recv_ns;
+                  sample.s_recv = static_cast<std::int64_t>(leg.reply.trace.server_recv_ns);
+                  sample.s_send = static_cast<std::int64_t>(leg.reply.trace.server_send_ns);
+                  const std::int64_t offset = update_clock(config_.ports[s], sample);
+                  stitch_remote_trace(leg_span, s, leg.reply.trace, offset, attempt_start,
+                                      trip.recv_ns, leg);
                 }
-                const Frame frame = decode_frame(raw);
-                if (frame.type == MsgType::kResult) {
-                  WirePartial reply = decode_partial(frame.payload);
-                  if (reply.partial.shard_id != s) {
-                    transient = true;
-                  } else if (reply.partial.result.status == ResultStatus::kShed) {
-                    // Server back-pressure: the scan never ran; retry.
-                    transient = true;
-                  } else {
-                    leg.reply = std::move(reply);
-                    leg.ok = leg.clean = true;
-                    if (leg.reply.has_trace && leg_span.active()) {
-                      ClockSample sample;
-                      sample.t0 = t0;
-                      sample.t1 = t1;
-                      sample.s_recv =
-                          static_cast<std::int64_t>(leg.reply.trace.server_recv_ns);
-                      sample.s_send =
-                          static_cast<std::int64_t>(leg.reply.trace.server_send_ns);
-                      const std::int64_t offset = update_clock(config_.ports[s], sample);
-                      stitch_remote_trace(leg_span, s, leg.reply.trace, offset, attempt_start,
-                                          t1, leg);
-                    }
-                    int expected = -1;
-                    if (slot.winner.compare_exchange_strong(expected, leg_id)) {
-                      (leg_id == 0 ? slot.hedge : slot.primary)
-                          .cancel.store(true, std::memory_order_release);
-                    }
-                    return;
-                  }
-                } else {
-                  // kError (unknown archive, bad request, internal) or an
-                  // unexpected type: transient from the leg's perspective.
-                  transient = true;
+                int expected = -1;
+                if (slot.winner.compare_exchange_strong(expected, leg_id)) {
+                  (leg_id == 0 ? slot.hedge : slot.primary)
+                      .cancel.store(true, std::memory_order_release);
                 }
-              } catch (const WireError& err) {
-                if (err.fault() == WireFault::kClosed) {
-                  if (leg.cancel.load(std::memory_order_acquire)) return;  // hedge race lost
-                  if (ctx.expired()) {
-                    synth(ctx.stop_reason(), shard_bound(s));
-                    leg.ok = true;
-                    return;
-                  }
-                  timed_out = true;
-                } else {
-                  // Truncated / corrupt / skewed / malformed frame.
-                  transient = true;
-                }
+                return;
               }
+            } else {
+              // kError (unknown archive, bad request, internal) or an
+              // unexpected type: transient from the leg's perspective.
+              transient = true;
             }
+          } catch (const WireError&) {
+            // Corrupt / skewed / malformed frame.
+            transient = true;
           }
         }
       }
@@ -724,17 +767,21 @@ std::string Router::fleet_prometheus() {
   std::vector<ShardStats> fleet(config_.ports.size());
   for (std::size_t s = 0; s < config_.ports.size(); ++s) {
     ShardStats& entry = fleet[s];
+    RoundTrip trip;
+    if (round_trip(config_.ports[s], MsgType::kStats, {},
+                   std::chrono::steady_clock::now() + config_.default_leg_timeout, nullptr,
+                   trip) != Exchange::kReply) {
+      continue;  // down; renders as fleet_up 0, page still serves
+    }
     try {
-      Socket sock = Socket::connect_loopback(config_.ports[s]);
-      if (!sock.valid()) continue;
-      if (!write_frame(sock, MsgType::kStats, {})) continue;
-      const Frame frame = read_frame(sock, config_.default_leg_timeout);
+      const Frame frame = decode_frame(trip.raw);
       if (frame.type != MsgType::kStatsReply) continue;  // v1 peer: kError
       entry.stats = decode_stats(frame.payload);
       entry.up = true;
     } catch (const WireError&) {
-      continue;  // down or hostile; renders as fleet_up 0, page still serves
+      continue;  // hostile; renders as fleet_up 0, page still serves
     }
+    return_connection(config_.ports[s], std::move(trip.sock));
     const std::lock_guard<std::mutex> lock(fleet_mutex_);
     FleetPrev& prev = fleet_prev_[config_.ports[s]];
     if (prev.valid && entry.stats.queries_served >= prev.queries_served) {

@@ -22,7 +22,21 @@
 //
 // A slow or dead shard server therefore degrades its shard's bound — it
 // never blocks the query and never poisons the merge with a truncated
-// status.  Whole-shard bounds come from a cached kDescribe exchange (the
+// status.
+//
+// Connections are kept open between queries: every exchange (a query leg,
+// a kDescribe, a kStats poll) takes a connection from a per-port idle pool
+// and gives it back only after it read one complete, checksum-valid reply
+// and used it as the exchange's answer.  Every other ending (timeout, lost
+// hedge race, corrupt or truncated frame, kError or shed reply, write
+// failure) closes the socket, so no desynced stream is ever reused.  A
+// pooled connection the server closed while idle is found by a zero-timeout
+// liveness check when taken; one that dies after the check, before any
+// reply byte, is replaced by a fresh connect and the request resent once,
+// inside the same attempt — that resend counts no attempt, retry, timeout
+// or fault, so ShardFaultStats and chaos schedules see exactly what a
+// fresh connection per leg saw.  The pool holds what peak leg concurrency
+// opened; it has no cap and no knob.  Whole-shard bounds come from a cached kDescribe exchange (the
 // shard's per-band ranges); when even describe failed, the bound is +inf —
 // maximally wide, still sound.
 //
@@ -37,6 +51,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -46,6 +61,7 @@
 #include "engine/shard_exec.hpp"
 #include "linear/model.hpp"
 #include "net/clock_sync.hpp"
+#include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/stats_server.hpp"
 #include "util/cost.hpp"
@@ -138,6 +154,44 @@ class Router {
                                                 std::uint32_t shard_count, std::uint8_t policy,
                                                 std::uint32_t shard);
   void record_health(const std::vector<LegEvent>& events);
+
+  /// A connection from take_connection; `reused` when it came from the
+  /// idle pool rather than a fresh connect.
+  struct Connection {
+    Socket sock;
+    bool reused = false;
+  };
+  /// Pops an idle connection to `port` that is still open (closing the ones
+  /// that are not), else — or when `fresh` — connects a new one; sock is
+  /// invalid when the connect failed.
+  [[nodiscard]] Connection take_connection(std::uint16_t port, bool fresh = false);
+  /// Parks `sock` for the next exchange with `port`.  Only for a connection
+  /// whose reply was read whole, checksum-valid, and used as the answer.
+  void return_connection(std::uint16_t port, Socket sock);
+
+  /// How one request/reply exchange ended.
+  enum class Exchange {
+    kReply,      ///< a whole raw reply frame is in RoundTrip::raw
+    kTransient,  ///< connect or write failed, or the reply frame broke off
+    kNoReply,    ///< no frame started before the deadline, or cancelled
+  };
+  struct RoundTrip {
+    /// The connection the reply arrived on; return_connection it once the
+    /// reply has been decoded and used, else let it close.
+    Socket sock;
+    std::vector<std::uint8_t> raw;  ///< reply frame, decode_frame-ready
+    std::uint64_t bytes_sent = 0;   ///< request frame bytes written
+    std::int64_t sent_ns = 0;       ///< steady clock before the answered write
+    std::int64_t recv_ns = 0;       ///< steady clock after the reply was read
+  };
+  /// Writes one request frame to `port` over a taken connection and reads
+  /// one raw reply frame by `deadline`.  A reused connection that fails
+  /// before any reply byte (its server closed it while idle) is replaced by
+  /// a fresh connect and the request resent, once.
+  [[nodiscard]] Exchange round_trip(std::uint16_t port, MsgType type,
+                                    std::span<const std::uint8_t> payload,
+                                    std::chrono::steady_clock::time_point deadline,
+                                    const std::atomic<bool>* cancel, RoundTrip& out);
   /// Feeds one traced reply's timing sample into the port's offset
   /// estimator and returns the refined estimate.
   [[nodiscard]] std::int64_t update_clock(std::uint16_t port, const ClockSample& sample);
@@ -164,6 +218,10 @@ class Router {
   RouterConfig config_;
   Metrics metrics_;
   std::atomic<std::uint64_t> query_seq_{1};
+
+  /// Idle keep-alive connections per shard port, most recently used last.
+  std::mutex pool_mutex_;
+  std::map<std::uint16_t, std::vector<Socket>> idle_;
 
   mutable std::mutex meta_mutex_;
   std::map<std::tuple<std::uint64_t, std::uint32_t, std::uint8_t, std::uint32_t>,

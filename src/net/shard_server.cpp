@@ -64,6 +64,10 @@ std::uint64_t ShardServer::queries_served() const noexcept {
   return queries_served_.load(std::memory_order_relaxed);
 }
 
+std::uint64_t ShardServer::connections_accepted() const noexcept {
+  return connections_accepted_.load(std::memory_order_relaxed);
+}
+
 const ShardedArchive* ShardServer::layout_for(ArchiveEntry& entry, std::uint32_t count,
                                               std::uint8_t policy) {
   const auto key = std::make_pair(count, policy);
@@ -245,6 +249,7 @@ void ShardServer::accept_loop() {
     reap_connections(/*all=*/false);
     Socket client = listener_.accept(std::chrono::milliseconds(100));
     if (!client.valid()) continue;
+    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_unique<Conn>();
     Conn* raw = conn.get();
     {

@@ -85,6 +85,10 @@ class ShardServer {
   [[nodiscard]] int port() const noexcept;
   /// Queries answered with a kResult frame since start.
   [[nodiscard]] std::uint64_t queries_served() const noexcept;
+  /// Connections accepted since construction: a router that keeps its
+  /// connections open shows here as a count that stops growing.  Local
+  /// only; not part of the kStats reply.
+  [[nodiscard]] std::uint64_t connections_accepted() const noexcept;
 
   /// Routing table, exposed for tests: one request frame in, one reply frame
   /// out (exactly what a connection would write back).
@@ -130,6 +134,7 @@ class ShardServer {
   std::mutex conns_mutex_;
   std::vector<std::unique_ptr<Conn>> conns_;
   std::atomic<std::uint64_t> queries_served_{0};
+  std::atomic<std::uint64_t> connections_accepted_{0};
 };
 
 }  // namespace mmir::net

@@ -100,6 +100,13 @@ bool Socket::read_exact(void* buf, std::size_t n, std::chrono::milliseconds time
   return true;
 }
 
+bool Socket::idle_open() const noexcept {
+  if (fd_ < 0) return false;
+  // EOF and pending bytes both show as POLLIN; a reset as POLLERR/POLLHUP.
+  pollfd pfd{fd_, POLLIN, 0};
+  return ::poll(&pfd, 1, 0) == 0;
+}
+
 std::ptrdiff_t Socket::read_some(void* buf, std::size_t n) {
   if (fd_ < 0) return -1;
   return ::read(fd_, buf, n);
@@ -176,6 +183,7 @@ bool Socket::read_exact(void*, std::size_t, std::chrono::milliseconds,
                         const std::atomic<bool>*) {
   return false;
 }
+bool Socket::idle_open() const noexcept { return false; }
 std::ptrdiff_t Socket::read_some(void*, std::size_t) { return -1; }
 bool Socket::write_all(const void*, std::size_t) { return false; }
 bool Listener::listen(std::uint16_t) { return false; }

@@ -15,6 +15,11 @@
 //     polls in short slices — a hung peer costs the caller its timeout, never
 //     a wedged thread.  This is what lets a router leg treat a dead shard
 //     server as a fault-domain event instead of a hang.
+//   * Socket::idle_open() is the keep-alive liveness check: a zero-timeout
+//     poll that says whether a connection nobody is reading from is still
+//     open with nothing pending.  The router asks it before it reuses a
+//     pooled connection, and after a failed read to tell a peer that hung
+//     up from one that merely stayed silent.
 //   * On platforms without BSD sockets every operation reports failure
 //     (start returns false, reads/writes fail); nothing references the API
 //     conditionally, so callers need no #ifdefs.
@@ -55,6 +60,12 @@ class Socket {
   /// on EOF, error, timeout, or cancellation.
   [[nodiscard]] bool read_exact(void* buf, std::size_t n, std::chrono::milliseconds timeout,
                                 const std::atomic<bool>* cancel = nullptr);
+
+  /// Zero-timeout liveness check of a connection with no request in flight:
+  /// true when the socket is valid, the peer has not closed or reset it,
+  /// and no unread byte is pending (a pending byte means the stream is no
+  /// longer at a frame boundary).  Never blocks.
+  [[nodiscard]] bool idle_open() const noexcept;
 
   /// One read(2) of at most `n` bytes; returns the byte count, 0 on EOF,
   /// -1 on error.  For protocols with their own head-scanning loop (HTTP).

@@ -20,6 +20,7 @@
 #include "data/tuples.hpp"
 #include "engine/cache.hpp"
 #include "engine/scheduler.hpp"
+#include "engine/shard_exec.hpp"
 #include "engine/thread_pool.hpp"
 #include "index/onion.hpp"
 #include "linear/model.hpp"
@@ -698,6 +699,76 @@ TEST(QueryEngine, ModelExceptionInAShardLegReachesTheFuture) {
   EngineConfig config;
   config.dispatchers = 1;
   config.intra_query_threads = 3;
+  QueryEngine engine(config);
+  CostMeter meter;
+  const std::vector<RasterHit> serial = full_scan_top_k(w.archive, w.raster_model, 6, meter);
+  for (int round = 0; round < 10; ++round) {
+    ShardedRasterJob job;
+    job.mode = RasterJob::Mode::kFullScan;
+    job.sharded = &sharded;
+    job.model = &thrower;
+    job.k = 6;
+    auto failing = engine.submit(job);
+    expect_model_fault(failing);
+    job.model = &w.raster_model;
+    const ShardedRasterOutcome next = engine.submit(job).get();
+    ASSERT_EQ(next.result.merged.hits.size(), serial.size()) << "round " << round;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(next.result.merged.hits[i].score, serial[i].score) << "round " << round;
+    }
+  }
+  engine.drain();
+  EXPECT_EQ(engine.stats().failed, 10u);
+}
+
+/// Hedging with a 1 ms hedge_delay: the primaries and the hedges both run
+/// as pool tasks, so a model exception leaves a pool worker on either leg.
+ShardFaultPolicy hedging_policy() {
+  ShardFaultPolicy policy;
+  policy.hedge = true;
+  policy.hedge_delay = std::chrono::milliseconds(1);
+  return policy;
+}
+
+TEST(ShardExec, HedgedLegExceptionReachesTheCaller) {
+  const EngineWorkload w;
+  const ThrowingModel thrower(w.archive.band_count());
+  const ShardedArchive sharded(w.archive, 4);
+  ThreadPool pool(3);
+  ShardExecOptions options;
+  options.policy = hedging_policy();
+  CostMeter serial_meter;
+  const std::vector<RasterHit> serial =
+      full_scan_top_k(w.archive, w.raster_model, 6, serial_meter);
+  for (int round = 0; round < 10; ++round) {
+    QueryContext failing_ctx;
+    CostMeter failing_meter;
+    try {
+      (void)sharded_full_scan_top_k(sharded, thrower, 6, failing_ctx, failing_meter, pool,
+                                    &options);
+      ADD_FAILURE() << "the hedged executor swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "model fault");
+    }
+    QueryContext ctx;
+    CostMeter meter;
+    const ShardedTopK next =
+        sharded_full_scan_top_k(sharded, w.raster_model, 6, ctx, meter, pool, &options);
+    ASSERT_EQ(next.merged.hits.size(), serial.size()) << "round " << round;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(next.merged.hits[i].score, serial[i].score) << "round " << round;
+    }
+  }
+}
+
+TEST(QueryEngine, ModelExceptionInAHedgedShardLegReachesTheFuture) {
+  const EngineWorkload w;
+  const ThrowingModel thrower(w.archive.band_count());
+  const ShardedArchive sharded(w.archive, 4);
+  EngineConfig config;
+  config.dispatchers = 1;
+  config.intra_query_threads = 3;
+  config.shard_fault_policy = hedging_policy();
   QueryEngine engine(config);
   CostMeter meter;
   const std::vector<RasterHit> serial = full_scan_top_k(w.archive, w.raster_model, 6, meter);

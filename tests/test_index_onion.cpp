@@ -231,6 +231,138 @@ TEST(Onion, HighDimApproximateHasHighRecall) {
   EXPECT_GT(recall_sum / trials, 0.8);
 }
 
+/// The directional-extreme peel as a per-direction loop over dot(): for
+/// each sampled direction, one walk over the alive points keeping the first
+/// strict argmax and argmin.  The index's one-pass peel must reproduce its
+/// layers exactly, ties included.
+struct ReferencePeel {
+  std::vector<std::vector<std::uint32_t>> layers;
+  std::vector<std::uint32_t> residual;
+};
+
+ReferencePeel reference_peel(const TupleSet& points, const OnionConfig& config) {
+  const std::size_t dim = points.dim();
+  Rng rng(config.seed);
+  std::vector<std::vector<double>> directions;
+  for (std::size_t s = 0; s < config.direction_samples; ++s) {
+    std::vector<double> dir(dim);
+    double norm = 0.0;
+    for (auto& v : dir) {
+      v = rng.normal();
+      norm += v * v;
+    }
+    norm = std::sqrt(norm);
+    for (auto& v : dir) v /= norm;
+    directions.push_back(std::move(dir));
+  }
+  ReferencePeel out;
+  std::vector<std::uint32_t> alive(points.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = static_cast<std::uint32_t>(i);
+  while (!alive.empty() && out.layers.size() < config.max_layers) {
+    std::vector<std::uint32_t> layer;
+    if (alive.size() <= dim + 1) {
+      layer = alive;
+    } else {
+      for (const auto& dir : directions) {
+        std::uint32_t best_max = alive[0];
+        std::uint32_t best_min = alive[0];
+        double vmax = dot(points.row(alive[0]), dir);
+        double vmin = vmax;
+        for (auto id : alive) {
+          const double v = dot(points.row(id), dir);
+          if (v > vmax) {
+            vmax = v;
+            best_max = id;
+          }
+          if (v < vmin) {
+            vmin = v;
+            best_min = id;
+          }
+        }
+        layer.push_back(best_max);
+        layer.push_back(best_min);
+      }
+      std::sort(layer.begin(), layer.end());
+      layer.erase(std::unique(layer.begin(), layer.end()), layer.end());
+    }
+    std::vector<std::uint32_t> next;
+    std::set_difference(alive.begin(), alive.end(), layer.begin(), layer.end(),
+                        std::back_inserter(next));
+    out.layers.push_back(std::move(layer));
+    alive = std::move(next);
+  }
+  out.residual = std::move(alive);
+  return out;
+}
+
+/// Layers equal the reference peel's, and so do the suffix boxes: a top_k
+/// whose op budget runs out on the first point of layer l reports the box
+/// bound over layers >= l plus the residual as its missed bound.
+void expect_reference_layers_and_boxes(const TupleSet& points, const OnionConfig& config) {
+  const ReferencePeel ref = reference_peel(points, config);
+  const OnionIndex index(points, config);
+  ASSERT_EQ(index.layer_count(), ref.layers.size());
+  ASSERT_EQ(index.residual_size(), ref.residual.size());
+  for (std::size_t l = 0; l < ref.layers.size(); ++l) {
+    const auto got = index.layer(l);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.layers[l].begin(), ref.layers[l].end()))
+        << "layer " << l;
+  }
+
+  const std::size_t dim = points.dim();
+  Rng rng(points.size() + dim);
+  std::vector<double> w(dim);
+  for (auto& v : w) v = rng.normal();
+  std::vector<Interval> box;
+  std::vector<double> bounds(ref.layers.size());
+  const auto grow = [&](std::uint32_t id) {
+    const auto row = points.row(id);
+    if (box.empty()) {
+      for (std::size_t d = 0; d < dim; ++d) box.push_back(Interval::point(row[d]));
+    } else {
+      for (std::size_t d = 0; d < dim; ++d) box[d] = box[d].hull(Interval::point(row[d]));
+    }
+  };
+  for (auto id : ref.residual) grow(id);
+  for (std::size_t l = ref.layers.size(); l-- > 0;) {
+    for (auto id : ref.layers[l]) grow(id);
+    double bound = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) bound += w[d] >= 0.0 ? w[d] * box[d].hi : w[d] * box[d].lo;
+    bounds[l] = bound;
+  }
+  std::uint64_t before = 0;
+  for (std::size_t l = 0; l < ref.layers.size(); ++l) {
+    QueryContext ctx;
+    ctx.with_op_budget(before * dim);
+    CostMeter meter;
+    const OnionTopK got = index.top_k(w, points.size(), ctx, meter);
+    EXPECT_EQ(got.status, ResultStatus::kTruncatedBudget) << "layer " << l;
+    EXPECT_EQ(got.missed_bound, bounds[l]) << "layer " << l;
+    before += ref.layers[l].size();
+  }
+}
+
+TEST(Onion, OnePassPeelMatchesThePerDirectionPeel) {
+  for (const std::size_t dim : {std::size_t{4}, std::size_t{5}, std::size_t{6}, std::size_t{8}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + " seed " + std::to_string(seed));
+      OnionConfig config;
+      config.seed = seed + 100;
+      expect_reference_layers_and_boxes(gaussian_tuples(1500, dim, seed), config);
+    }
+  }
+}
+
+TEST(Onion, OnePassPeelKeepsTheFirstIdAmongDuplicatePoints) {
+  // 1200 points drawn from 25 distinct 6-d points: every extreme is tied
+  // many times over, so only the first-in-alive-order rule picks the ids.
+  const TupleSet palette = gaussian_tuples(25, 6, 31);
+  TupleSet points(6);
+  Rng rng(32);
+  for (int i = 0; i < 1200; ++i) points.push_row(palette.row(rng.uniform_int(25)));
+  expect_reference_layers_and_boxes(points, OnionConfig{});
+}
+
 TEST(Onion, RejectsEmptyInput) {
   const TupleSet empty(3);
   EXPECT_THROW(OnionIndex{empty}, Error);

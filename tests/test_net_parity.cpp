@@ -20,12 +20,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "archive/sharded.hpp"
@@ -235,6 +238,28 @@ std::size_t case_count() {
   return 220;
 }
 
+/// An in-process shard server with every parity archive registered under
+/// id = pool index + 1; not started.
+std::unique_ptr<ShardServer> make_server(
+    std::chrono::milliseconds read_timeout = ShardServerConfig{}.read_timeout) {
+  ShardServerConfig config;
+  config.engine.dispatchers = 1;
+  config.engine.intra_query_threads = 0;
+  config.engine.queue_capacity = 256;
+  config.engine.metrics = nullptr;
+  config.read_timeout = read_timeout;
+  auto server = std::make_unique<ShardServer>(config);
+  for (std::size_t a = 0; a < archive_pool().size(); ++a) {
+    const PooledArchive& pooled = *archive_pool()[a];
+    server->register_archive(a + 1, pooled.archive.get(), pooled.ranges);
+  }
+  for (std::size_t a = 0; a < tie_pool().size(); ++a) {
+    server->register_archive(archive_pool().size() + a + 1, tie_pool()[a].gen.archive.get(),
+                             tie_pool()[a].ranges);
+  }
+  return server;
+}
+
 /// The shard-server fleet behind the suite: external processes when
 /// MMIR_NET_SHARD_PORTS is set, else self-hosted in-process servers with
 /// every parity archive registered under id = pool index + 1.
@@ -253,20 +278,7 @@ class Fleet {
       return;
     }
     for (std::size_t i = 0; i < kMaxShards; ++i) {
-      ShardServerConfig config;
-      config.engine.dispatchers = 1;
-      config.engine.intra_query_threads = 0;
-      config.engine.queue_capacity = 256;
-      config.engine.metrics = nullptr;
-      auto server = std::make_unique<ShardServer>(config);
-      for (std::size_t a = 0; a < archive_pool().size(); ++a) {
-        const PooledArchive& pooled = *archive_pool()[a];
-        server->register_archive(a + 1, pooled.archive.get(), pooled.ranges);
-      }
-      for (std::size_t a = 0; a < tie_pool().size(); ++a) {
-        server->register_archive(archive_pool().size() + a + 1, tie_pool()[a].gen.archive.get(),
-                                 tie_pool()[a].ranges);
-      }
+      auto server = make_server();
       if (!server->start()) {
         ports_.clear();
         return;
@@ -279,6 +291,10 @@ class Fleet {
   [[nodiscard]] bool ok() const { return ports_.size() >= kMaxShards; }
   [[nodiscard]] bool external() const { return external_; }
   [[nodiscard]] const std::vector<std::uint16_t>& ports() const { return ports_; }
+  /// The in-process server behind ports()[i]; null for an external fleet.
+  [[nodiscard]] const ShardServer* server(std::size_t i) const {
+    return i < servers_.size() ? servers_[i].get() : nullptr;
+  }
 
  private:
   std::vector<std::unique_ptr<ShardServer>> servers_;
@@ -782,6 +798,234 @@ TEST(NetParity, ServerSurvivesHostileBytesAndKeepsServing) {
   ASSERT_TRUE(write_frame(client, MsgType::kPing, {}));
   const Frame pong = read_frame(client, std::chrono::milliseconds(2000));
   EXPECT_EQ(pong.type, MsgType::kPong);
+}
+
+// ---------------------------------------------------------- connection reuse
+
+RouterResult route_case(Router& router, const Case& c, std::size_t shards) {
+  RouterQuery query;
+  query.archive_id = c.archive_index + 1;
+  query.shard_count = static_cast<std::uint32_t>(shards);
+  query.policy = c.policy;
+  query.mode = c.mode;
+  query.model = &c.model;
+  query.k = c.k;
+  if (c.budgeted) query.op_budget = c.budget;
+  QueryContext ctx;
+  CostMeter meter;
+  return router.execute(query, ctx, meter);
+}
+
+/// An unbudgeted row-band case: every shard of a 1..4-way layout holds
+/// pixels, so each one costs exactly one wire leg.
+Case clean_case(std::uint64_t seed) {
+  Case c = make_case(seed);
+  c.budgeted = false;
+  c.policy = ShardPolicy::kRowBands;
+  return c;
+}
+
+/// The routed answer is complete, fault-free and byte-identical to serial.
+void expect_clean_match(const Case& c, const RouterResult& res) {
+  CostMeter serial_meter;
+  const std::vector<RasterHit> exact = run_serial(c, serial_meter);
+  std::string why;
+  EXPECT_EQ(res.result.merged.status, ResultStatus::kComplete);
+  EXPECT_TRUE(identical_hits(exact, res.result.merged, why)) << why;
+  const ShardFaultStats& stats = res.result.fault_stats;
+  EXPECT_FALSE(stats.any_fault());
+  EXPECT_EQ(stats.retries, 0u);
+}
+
+TEST(NetParity, SequentialQueriesReuseTheirConnections) {
+  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
+  if (fleet().external()) GTEST_SKIP() << "external fleet: connection counts are in-process only";
+  ASSERT_TRUE(fleet().ok()) << "shard-server fleet failed to start";
+  constexpr std::size_t kShards = 4;
+  std::vector<std::uint64_t> before(kShards);
+  for (std::size_t i = 0; i < kShards; ++i) before[i] = fleet().server(i)->connections_accepted();
+
+  Router router(base_config(kShards));
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const Case c = clean_case(seed);
+    SCOPED_TRACE(c.describe());
+    expect_clean_match(c, route_case(router, c, kShards));
+  }
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_LE(fleet().server(i)->connections_accepted() - before[i], 4u) << "server " << i;
+  }
+}
+
+TEST(NetParity, ConnectionClosedByTheServersIdleTimeoutIsReplacedWithoutAFault) {
+  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
+  constexpr std::size_t kShards = 2;
+  std::vector<std::unique_ptr<ShardServer>> servers;
+  RouterConfig config;
+  config.metrics = nullptr;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    servers.push_back(make_server(std::chrono::milliseconds(50)));
+    ASSERT_TRUE(servers.back()->start());
+    config.ports.push_back(static_cast<std::uint16_t>(servers.back()->port()));
+  }
+  Router router(config);
+  const Case c = clean_case(11);
+  expect_clean_match(c, route_case(router, c, kShards));
+
+  // Past the servers' 50 ms read_timeout every pooled connection is closed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const RouterResult res = route_case(router, c, kShards);
+  expect_clean_match(c, res);
+  EXPECT_EQ(res.result.fault_stats.attempts, kShards);
+  EXPECT_EQ(res.result.fault_stats.timeouts, 0u);
+  for (const auto& server : servers) EXPECT_EQ(server->connections_accepted(), 2u);
+}
+
+/// A shard endpoint in front of a real server's routing table that answers
+/// the first two frames of each connection, then reads a third and hangs up
+/// without a reply: a server closing an idle connection just as the router
+/// reuses it, after the router's liveness check passed.  Serves one
+/// connection at a time, which one sequential single-shard router needs.
+class HangUpOnThirdFrame {
+ public:
+  explicit HangUpOnThirdFrame(ShardServer& backend) : backend_(backend) {
+    if (listener_.listen(0)) thread_ = std::thread([this] { run(); });
+  }
+  ~HangUpOnThirdFrame() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  HangUpOnThirdFrame(const HangUpOnThirdFrame&) = delete;
+  HangUpOnThirdFrame& operator=(const HangUpOnThirdFrame&) = delete;
+
+  [[nodiscard]] bool ok() const { return listener_.valid(); }
+  [[nodiscard]] std::uint16_t port() const { return static_cast<std::uint16_t>(listener_.port()); }
+  [[nodiscard]] std::uint64_t accepted() const { return accepted_.load(); }
+
+ private:
+  void run() {
+    while (!stop_.load()) {
+      Socket sock = listener_.accept(std::chrono::milliseconds(20));
+      if (!sock.valid()) continue;
+      ++accepted_;
+      for (int frames = 0; !stop_.load(); ++frames) {
+        Frame request;
+        try {
+          request = read_frame(sock, std::chrono::milliseconds(0), &stop_);
+        } catch (const WireError&) {
+          break;
+        }
+        if (frames == 2) break;  // read the request, close without a byte
+        const Frame reply = backend_.handle(request);
+        if (!write_frame(sock, reply.type, reply.payload)) break;
+      }
+    }
+  }
+
+  ShardServer& backend_;
+  Listener listener_;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> accepted_{0};
+  std::thread thread_;
+};
+
+TEST(NetParity, ConnectionDyingAfterItsLivenessCheckIsResentOnceWithoutAFault) {
+  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
+  const std::unique_ptr<ShardServer> backend = make_server();
+  HangUpOnThirdFrame endpoint(*backend);
+  ASSERT_TRUE(endpoint.ok());
+  RouterConfig config;
+  config.ports = {endpoint.port()};
+  config.metrics = nullptr;
+  Router router(config);
+  const Case c = clean_case(12);
+
+  // Query 1: kDescribe and the leg share one connection (frames 1 and 2).
+  // Query 2 reuses it, and the endpoint hangs up on the request: the leg
+  // must reconnect and resend inside its one attempt.
+  expect_clean_match(c, route_case(router, c, 1));
+  const RouterResult res = route_case(router, c, 1);
+  expect_clean_match(c, res);
+  EXPECT_EQ(res.result.fault_stats.attempts, 1u);
+  EXPECT_EQ(res.result.fault_stats.timeouts, 0u);
+  EXPECT_EQ(endpoint.accepted(), 2u);
+}
+
+/// Chaos that follows whichever schedule is installed; none means clean.
+class SwitchableChaos final : public ShardChaos {
+ public:
+  void install(ShardChaos* chaos) noexcept { current_.store(chaos); }
+  [[nodiscard]] ShardFaultAction on_attempt(std::size_t shard, int attempt) noexcept override {
+    ShardChaos* chaos = current_.load();
+    return chaos == nullptr ? ShardFaultAction{} : chaos->on_attempt(shard, attempt);
+  }
+
+ private:
+  std::atomic<ShardChaos*> current_{nullptr};
+};
+
+TEST(NetParity, CleanQueriesAfterWireChaosMatchSerial) {
+  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
+  ASSERT_TRUE(fleet().ok()) << "shard-server fleet failed to start";
+
+  // One router through corrupt, delay, fail and hedge schedules: hedges
+  // launch at once, so lost races cancel legs mid-read.  Any connection such
+  // an ending put back would answer a later query with a stale frame.
+  SwitchableChaos chaos;
+  RouterConfig config = base_config(4);
+  config.chaos = &chaos;
+  config.policy.max_attempts = 3;
+  config.policy.hedge = true;
+  config.policy.hedge_delay = std::chrono::milliseconds(0);
+  Router router(config);
+
+  const std::size_t cases = std::min<std::size_t>(case_count(), 60);
+  for (std::uint64_t seed = 0; seed < cases; ++seed) {
+    const Case c = make_case(seed);
+    SCOPED_TRACE(c.describe());
+    ChaosPolicy::Config chaos_config;
+    chaos_config.seed = seed + 1;
+    chaos_config.fail_rate = 0.25;
+    chaos_config.delay_rate = 0.1;
+    chaos_config.corrupt_rate = 0.15;
+    chaos_config.delay = std::chrono::microseconds(200);
+    ChaosPolicy schedule(chaos_config);
+    chaos.install(&schedule);
+    const RouterResult res = route_case(router, c, 4);
+    chaos.install(nullptr);
+    CostMeter serial_meter;
+    const std::vector<RasterHit> exact = run_serial(c, serial_meter);
+    std::string why;
+    EXPECT_TRUE(sound_prefix(res.result.merged, exact, why)) << why;
+    // A clean query right behind each chaotic one, while a lost race's
+    // reply may still be in flight.
+    const Case next = clean_case(1000 + seed);
+    expect_clean_match(next, route_case(router, next, 4));
+  }
+
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    const Case c = clean_case(500 + seed);
+    SCOPED_TRACE(c.describe());
+    expect_clean_match(c, route_case(router, c, 4));
+  }
+}
+
+TEST(NetParity, ServerStopIsPromptWhileARouterHoldsIdleConnections) {
+  if (!sockets_available()) GTEST_SKIP() << "no socket API on this platform";
+  const std::unique_ptr<ShardServer> server = make_server();
+  ASSERT_TRUE(server->start());
+  const auto port = static_cast<std::uint16_t>(server->port());
+  RouterConfig config;
+  config.ports = {port, port};
+  config.metrics = nullptr;
+  Router router(config);
+  const Case c = clean_case(13);
+  expect_clean_match(c, route_case(router, c, 2));
+
+  const auto start = std::chrono::steady_clock::now();
+  server->stop();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250))
+      << "stop() waited on the router's idle connections";
 }
 
 }  // namespace
