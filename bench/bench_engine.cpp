@@ -10,8 +10,9 @@
 //       (trace context on the wire, span trees shipped back and stitched)
 //       vs untraced; the tracing tax is gated <= 5% in ci/bench_diff.py.
 // E15 — batch-admission throughput: cold full-scan qps at batch fan-in
-//       1/4/16/64 with one dispatcher, measuring what grouping admissions
-//       (one queue slot and one dispatch per group) saves or costs.
+//       1/4/16/64 with one dispatcher (medians of 5 with min/max), measuring
+//       what a group's shared full-scan pass saves; fan-in 16 is gated at
+//       >= 1.3x fan-in 1 in ci/bench_diff.py.
 //
 // Sweeps dispatcher threads x admission queue depth x target result-cache
 // hit rate over a fixed stream of combined-executor raster queries, and
@@ -70,8 +71,9 @@ using namespace mmir::bench;
 // compare mismatched schemas.  v3 adds the E11 sharded_throughput rows; v4
 // adds the E12 hedged_tail block; v5 adds the E13 router_throughput rows;
 // v6 adds the E14 router_tracing_overhead block (distributed tracing tax);
-// v7 adds the E15 batch_throughput rows (batch-admission cold qps).
-constexpr int kBenchSchemaVersion = 7;
+// v7 adds the E15 batch_throughput rows (batch-admission cold qps); v8
+// makes each E15 row the median of 5 runs with their min and max.
+constexpr int kBenchSchemaVersion = 8;
 
 struct SweepRow {
   std::size_t dispatchers = 0;
@@ -595,67 +597,78 @@ RouterOverheadResult run_router_overhead(const TiledArchive& archive,
 
 struct BatchRow {
   std::size_t fan_in = 0;
-  double cold_qps = 0.0;
+  double cold_qps = 0.0;  ///< median of kBatchRepeats runs
+  double cold_qps_min = 0.0;
+  double cold_qps_max = 0.0;
 };
 
+constexpr std::size_t kBatchRepeats = 5;
+
 // E15: batch-admission throughput.  A group of F cold full scans on one
-// archive takes one queue slot and one dispatch, then runs its members back
-// to back through the solo job body, so what a group can save is per-query
-// queueing and dispatcher wake-ups; every member's scan is its own.  The
-// sweep pins dispatchers at 1 so no thread-level parallelism enters;
-// queries are all-cold (distinct archive ids, so the result cache never
-// hits) and the engine starts paused so every group closes at exactly the
-// configured fan-in before dispatch begins.  The rows are recorded, not
-// gated.
+// archive takes one queue slot and one dispatch, and its consecutive linear
+// full scans share one pass over the band planes (each block read once for
+// every member), so the row measures shared work.  The sweep pins
+// dispatchers at 1 so no thread-level parallelism enters; queries are
+// all-cold (distinct archive ids, so the result cache never hits) and the
+// engine starts paused so every group closes at exactly the configured
+// fan-in before dispatch begins.  Each row is the median of kBatchRepeats
+// runs, with their min and max; ci/bench_diff.py gates fan-in 16 against
+// fan-in 1.
 std::vector<BatchRow> run_batch_table(const TiledArchive& archive, const LinearModel& model) {
   heading("E15: batch-admission throughput (cold full scans)",
-          "a group of queries on one archive takes one queue slot and one dispatch");
+          "a group's consecutive linear full scans share one pass over the planes");
 
   const LinearRasterModel raster(model);
   const std::size_t total = 128;  // multiple of every swept fan-in
-  std::printf("%7s | %12s %9s\n", "fan-in", "cold qps", "speedup");
+  std::printf("%7s | %12s %12s %12s %9s\n", "fan-in", "cold qps", "min", "max", "speedup");
   std::vector<BatchRow> rows;
   double base_qps = 0.0;
   for (const std::size_t fan_in : {1ULL, 4ULL, 16ULL, 64ULL}) {
-    EngineConfig config;
-    config.dispatchers = 1;
-    config.queue_capacity = 512;  // room for every group before dispatch
-    config.batch_max_fanin = fan_in;
-    config.batch_window = std::chrono::milliseconds(5);
-    config.start_paused = true;
-    config.metrics = nullptr;
-    QueryEngine engine(config);
+    std::vector<double> qps;
+    for (std::size_t repeat = 0; repeat < kBatchRepeats; ++repeat) {
+      EngineConfig config;
+      config.dispatchers = 1;
+      config.queue_capacity = 512;  // room for every group before dispatch
+      config.batch_max_fanin = fan_in;
+      config.batch_window = std::chrono::milliseconds(5);
+      config.start_paused = true;
+      config.metrics = nullptr;
+      QueryEngine engine(config);
 
-    RasterJob job;
-    job.mode = RasterJob::Mode::kFullScan;
-    job.archive = &archive;
-    job.model = &raster;
-    job.k = 10;
+      RasterJob job;
+      job.mode = RasterJob::Mode::kFullScan;
+      job.archive = &archive;
+      job.model = &raster;
+      job.k = 10;
 
-    std::vector<std::future<RasterOutcome>> futures;
-    futures.reserve(total);
-    std::uint64_t next_cold_id = 1;
-    for (std::size_t i = 0; i < total; ++i) {
-      job.archive_id = next_cold_id++;
-      futures.push_back(engine.submit(job));
+      std::vector<std::future<RasterOutcome>> futures;
+      futures.reserve(total);
+      std::uint64_t next_cold_id = 1;
+      for (std::size_t i = 0; i < total; ++i) {
+        job.archive_id = next_cold_id++;
+        futures.push_back(engine.submit(job));
+      }
+      const std::chrono::nanoseconds wall = timed_ns([&] {
+        engine.resume();
+        for (auto& f : futures) (void)f.get();
+      });
+      qps.push_back(ratio(static_cast<double>(total), static_cast<double>(wall.count()) / 1e9));
     }
-    const std::chrono::nanoseconds wall = timed_ns([&] {
-      engine.resume();
-      for (auto& f : futures) (void)f.get();
-    });
-
+    std::sort(qps.begin(), qps.end());
     BatchRow row;
     row.fan_in = fan_in;
-    row.cold_qps =
-        ratio(static_cast<double>(total), static_cast<double>(wall.count()) / 1e9);
+    row.cold_qps = qps[qps.size() / 2];
+    row.cold_qps_min = qps.front();
+    row.cold_qps_max = qps.back();
     if (fan_in == 1) base_qps = row.cold_qps;
-    std::printf("%7zu | %12.1f %8.2fx\n", row.fan_in, row.cold_qps,
+    std::printf("%7zu | %12.1f %12.1f %12.1f %8.2fx\n", row.fan_in, row.cold_qps,
+                row.cold_qps_min, row.cold_qps_max,
                 base_qps > 0.0 ? row.cold_qps / base_qps : 0.0);
     rows.push_back(row);
   }
   std::printf(
-      "\nshape check: every member still runs its own scan, so qps stays near\n"
-      "fan-in 1; only queueing and dispatch are shared.\n");
+      "\nshape check: a group's members share each read of the planes, so\n"
+      "fan-in 16 should reach at least 1.3x the qps of fan-in 1.\n");
   footer();
   return rows;
 }
@@ -707,7 +720,10 @@ void write_json(const std::vector<SweepRow>& rows, const std::vector<ShardedRow>
   std::fprintf(f, "  ],\n  \"batch_throughput\": [\n");
   for (std::size_t i = 0; i < batch_rows.size(); ++i) {
     const BatchRow& r = batch_rows[i];
-    std::fprintf(f, "    {\"fan_in\": %zu, \"cold_qps\": %.1f}%s\n", r.fan_in, r.cold_qps,
+    std::fprintf(f,
+                 "    {\"fan_in\": %zu, \"cold_qps\": %.1f, \"cold_qps_min\": %.1f, "
+                 "\"cold_qps_max\": %.1f, \"repeats\": %zu}%s\n",
+                 r.fan_in, r.cold_qps, r.cold_qps_min, r.cold_qps_max, kBatchRepeats,
                  i + 1 < batch_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

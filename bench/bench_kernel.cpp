@@ -21,6 +21,19 @@
 // does), `run:512` whole rows; `nan:1` poisons one band of 1%
 // of the pixels, so the blocks holding them take the per-pixel offer loop.
 //
+// `BM_ScanLinear_Shared` times the same whole-row scan for `members`
+// linear models at once through the rows × members loop
+// (exec::scan_rect_full over a member span, what a batch group's shared
+// full-scan pass runs): each member is the HPS model with perturbed
+// weights, under its own unbounded context and heap.  time_per_px is per
+// pixel per member, so `members:1` is comparable with
+// BM_ScanRectFull_Linear and a smaller figure at 4 or 16 members is the
+// plane read those members shared.  The shared pass gains only where a
+// member's block bounds rarely reach its heap threshold; `signs:1` gives
+// every weight a random sign (a sign-flipped model is also what a
+// bottom-k query scans), so a bound mixes band extremes taken from
+// different pixels and is looser than the similar models' of `signs:0`.
+//
 // `BM_ScanShardLeg` times the tile-list walker every shard leg runs
 // (exec::scan_tiles_full) over shard 0 of the same bands tiled at 32 and
 // split into 4 shards, the fleet scene's layout: `tile_hash:0` is a
@@ -189,6 +202,44 @@ void BM_ScanLinear_Runs(benchmark::State& state) {
   scan_scene(state, archive, model, false, static_cast<std::size_t>(state.range(0)));
 }
 
+void BM_ScanLinear_Shared(benchmark::State& state) {
+  const std::size_t count = static_cast<std::size_t>(state.range(0));
+  const TiledArchive& archive = scene().tiled();
+  std::vector<LinearRasterModel> models;
+  Rng rng(514);
+  for (std::size_t j = 0; j < count; ++j) {
+    const LinearModel hps = kernel_model();
+    std::vector<double> weights(hps.weights().begin(), hps.weights().end());
+    for (double& w : weights) {
+      w *= rng.uniform(0.8, 1.2);
+      if (state.range(1) != 0 && rng.bernoulli(0.5)) w = -w;
+    }
+    models.emplace_back(LinearModel(std::move(weights), hps.bias(), {"b0", "b1", "b2", "b3"}));
+  }
+  const std::uint64_t pixels = archive.pixel_count();
+  std::vector<std::vector<double>> rows(count);
+  for (auto _ : state) {
+    std::vector<QueryContext> contexts(count);
+    std::vector<CostMeter> meters(count);
+    std::vector<exec::ScanTally> tallies(count);
+    std::vector<TopK<RasterHit>> tops(count, TopK<RasterHit>(kTopK));
+    std::vector<exec::ScanMember> members;
+    for (std::size_t j = 0; j < count; ++j) {
+      members.push_back({&models[j], &tops[j], &rows[j], &contexts[j], &meters[j], &tallies[j]});
+    }
+    exec::scan_rect_full(archive, 0, archive.width(), 0, archive.height(), members);
+    for (std::size_t j = 0; j < count; ++j) {
+      if (contexts[j].stopped() || tallies[j].pixels != pixels) {
+        state.SkipWithError("scan did not complete");
+      }
+      benchmark::DoNotOptimize(tops[j].threshold());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * pixels *
+                                                    archive.band_count() * sizeof(double)));
+  state.counters["time_per_px"] = time_per_px(pixels * count);
+}
+
 void BM_ScanShardLeg(benchmark::State& state) {
   const LinearRasterModel model(kernel_model());
   const TiledArchive& archive = scene_tile32();
@@ -248,6 +299,10 @@ BENCHMARK(BM_ScanRectFull_PerPixel)
 BENCHMARK(BM_ScanLinear_Runs)
     ->ArgNames({"run", "nan"})
     ->ArgsProduct({{32, kSide}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanLinear_Shared)
+    ->ArgNames({"members", "signs"})
+    ->ArgsProduct({{1, 4, 16}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ScanShardLeg)->ArgName("tile_hash")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 

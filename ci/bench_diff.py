@@ -29,9 +29,12 @@ context on the wire, span trees shipped back and stitched) must cost at most
 diff; it is skipped out loud when the bench could not run the experiment
 (no loopback sockets).
 
-E15 (batch_throughput rows, batch-admission cold qps) is recorded but not
-gated: batched members run back to back through the solo executors, so
-nothing is shared that fan-in could be expected to amortize.
+It also enforces an E15 shape gate on the candidate alone (schema_version
+>= 8, batch_throughput rows, each the median of 5 runs): a group's linear
+full scans share one pass over the band planes, so fan-in 16 must reach at
+least 1.3x the cold qps of fan-in 1.  E15 runs one dispatcher, so it
+measures shared work rather than threads, and the gate is never skipped for
+the host.
 
 Gates that do not apply to a given run are *skipped out loud*: every bypassed
 gate prints an explicit "... gate skipped: <reason>" line so a green run can
@@ -154,6 +157,30 @@ def one_shard_speedup_regressed(doc: dict) -> bool:
         f"(floor {ONE_SHARD_SPEEDUP_MIN:.1f}x) [{verdict}]"
     )
     return ratio < ONE_SHARD_SPEEDUP_MIN
+
+
+BATCH_SPEEDUP_FAN_IN = 16
+BATCH_SPEEDUP_MIN = 1.3  # E15 shape: fan-in 16 >= 1.3x fan-in 1 cold qps
+
+
+def batch_speedup_regressed(doc: dict) -> bool:
+    """E15 shape gate on the candidate; returns True when it fails.  One
+    dispatcher runs every group, so no host skip."""
+    rows = doc.get("batch_throughput") or []
+    qps = {int(row["fan_in"]): float(row["cold_qps"]) for row in rows}
+    if 1 not in qps or BATCH_SPEEDUP_FAN_IN not in qps:
+        print(
+            "E15 batch speedup gate skipped: missing rows (candidate recorded no "
+            f"fan_in 1 or {BATCH_SPEEDUP_FAN_IN} batch_throughput row)"
+        )
+        return False
+    ratio = qps[BATCH_SPEEDUP_FAN_IN] / qps[1] if qps[1] > 0 else 0.0
+    verdict = "FAIL" if ratio < BATCH_SPEEDUP_MIN else "ok"
+    print(
+        f"E15 batch speedup: fan-in {BATCH_SPEEDUP_FAN_IN} = {ratio:.2f}x fan-in 1 "
+        f"(floor {BATCH_SPEEDUP_MIN:.1f}x) [{verdict}]"
+    )
+    return ratio < BATCH_SPEEDUP_MIN
 
 
 HEDGED_TAIL_LIMIT = 1.5  # E12 acceptance: hedged p99 <= 1.5x no-fault p99
@@ -336,6 +363,10 @@ def main() -> int:
         # bench had no sockets to run the fleet.
         if isinstance(cand_schema, int) and cand_schema >= 6:
             failed |= router_tracing_regressed(cand)
+        # E15 rows become medians of 5 with schema_version 8: a shape gate on
+        # the candidate (the shared full-scan pass must pay at fan-in 16).
+        if isinstance(cand_schema, int) and cand_schema >= 8:
+            failed |= batch_speedup_regressed(cand)
     except (KeyError, ValueError) as err:
         print(f"malformed bench json: {err}", file=sys.stderr)
         return 2

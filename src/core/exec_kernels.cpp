@@ -14,10 +14,10 @@ namespace detail {
 
 #if defined(__x86_64__) || defined(__i386__)
 
-[[gnu::target("avx2"), gnu::flatten]] std::uint64_t offer_linear_run_avx2(
-    const TiledArchive& archive, const LinearModel& model, std::size_t x, std::size_t y,
-    std::size_t n, TopK<RasterHit>& top, double* sums) {
-  return offer_linear_run_body(archive, model, x, y, n, top, sums);
+[[gnu::target("avx2"), gnu::flatten]] void offer_linear_run_avx2(
+    const TiledArchive& archive, std::span<LinearRunMember> members, std::size_t x,
+    std::size_t y, std::size_t n) {
+  offer_linear_run_body(archive, members, x, y, n);
 }
 
 bool host_has_avx2() noexcept {
@@ -32,31 +32,28 @@ bool host_has_avx2() noexcept {
 
 // No AVX2 on this architecture: the entry exists so callers link, and
 // host_has_avx2() keeps it from being chosen.
-std::uint64_t offer_linear_run_avx2(const TiledArchive& archive, const LinearModel& model,
-                                    std::size_t x, std::size_t y, std::size_t n,
-                                    TopK<RasterHit>& top, double* sums) {
-  return offer_linear_run_baseline(archive, model, x, y, n, top, sums);
+void offer_linear_run_avx2(const TiledArchive& archive, std::span<LinearRunMember> members,
+                           std::size_t x, std::size_t y, std::size_t n) {
+  offer_linear_run_baseline(archive, members, x, y, n);
 }
 
 bool host_has_avx2() noexcept { return false; }
 
 #endif
 
-[[gnu::flatten]] std::uint64_t offer_linear_run_baseline(const TiledArchive& archive,
-                                                         const LinearModel& model, std::size_t x,
-                                                         std::size_t y, std::size_t n,
-                                                         TopK<RasterHit>& top, double* sums) {
-  return offer_linear_run_body(archive, model, x, y, n, top, sums);
+[[gnu::flatten]] void offer_linear_run_baseline(const TiledArchive& archive,
+                                                std::span<LinearRunMember> members,
+                                                std::size_t x, std::size_t y, std::size_t n) {
+  offer_linear_run_body(archive, members, x, y, n);
 }
 
 }  // namespace detail
 
-std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& model,
-                               std::size_t x, std::size_t y, std::size_t n, TopK<RasterHit>& top,
-                               double* sums) {
+void offer_linear_run(const TiledArchive& archive, std::span<LinearRunMember> members,
+                      std::size_t x, std::size_t y, std::size_t n) {
   static const auto entry = detail::host_has_avx2() ? &detail::offer_linear_run_avx2
                                                     : &detail::offer_linear_run_baseline;
-  return entry(archive, model, x, y, n, top, sums);
+  entry(archive, members, x, y, n);
 }
 
 std::string_view kernel_isa() noexcept { return detail::host_has_avx2() ? "avx2" : "baseline"; }

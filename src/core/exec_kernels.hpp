@@ -23,6 +23,16 @@
 // through the per-pixel isfinite / offer_ranked loop (offer_scores).  Any
 // other model is evaluated per pixel and offered through that same loop.
 //
+// The fused pass takes a span of members — linear models over one archive,
+// each with its own heap.  One member streams the planes at the memory
+// floor.  Several members (a batch group's full scans, driven row by row
+// by scan_rect_full over a member span) read each 16-pixel block of the
+// planes once: its smallest and largest sample per band bound every
+// member's scores in that block, and a member sums and screens the block
+// exactly only where its bound reaches its own heap threshold or a sample
+// is not finite.  Every member's hits, score bytes and bad points equal
+// those of its one-member call.
+//
 // That fused pass is one body (detail::offer_linear_run_body) compiled
 // twice in core/exec_kernels.cpp: an entry for AVX2 (four doubles per
 // instruction) and one for the baseline ISA.  offer_linear_run calls the
@@ -68,7 +78,8 @@
 // Which rectangles reach the row kernels:
 //   * serial and tile-parallel full and staged scans: whole rows — the
 //     scene, or the row bands parallel_for hands each worker
-//     (scan_rect_full / scan_rect_staged);
+//     (scan_rect_full / scan_rect_staged); a batch group's shared full-scan
+//     pass hands scan_rect_full all its members at once;
 //   * every shard leg in scan order — the in-process sharded full and
 //     staged-model executors and the remote scan_shard_partial legs of the
 //     same two modes: the shard's tile list through walk_tile_spans
@@ -92,6 +103,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -293,24 +305,38 @@ struct BandGroup {
   }
 };
 
+/// One member of a fused linear pass (offer_linear_run): a linear model, the
+/// heap its hits go to, and its partial-sum buffer (n slots, touched only
+/// by a one-member pass of a model with more than kBandGroup bands).  `bad`
+/// gains the run's bad-point count for this member.
+struct LinearRunMember {
+  const LinearModel* model = nullptr;
+  TopK<RasterHit>* top = nullptr;
+  double* sums = nullptr;
+  std::uint64_t bad = 0;
+};
+
+/// Members a shared pass bounds side by side: their weights and cached
+/// thresholds live in stack arrays this long, and a longer member span is
+/// taken this many members at a time over the same run.
+inline constexpr std::size_t kPassLanes = 16;
+
+/// Bands a shared pass bounds per block; an archive with more scores its
+/// members one at a time.
+inline constexpr std::size_t kPassBands = 16;
+
 namespace detail {
 
-/// The one body of offer_linear_run, compiled once per entry below.
-/// Scores pixels [x, x+n) of row y with a linear model and offers them, in
-/// one fused pass per group of up to kBandGroup bands.  Each score is
-/// summed as ((bias + w0·p0) + w1·p1) + … in band index order — exactly the
-/// sum LinearModel::evaluate forms, so scores are bit-identical to it.
-/// Groups before the last sum into `sums` (n slots, touched only when the
-/// model has more than kBandGroup bands); the last group finishes each
+/// The one-member fused pass: see offer_linear_run_body.  Groups before
+/// the last sum into member.sums (n slots, touched only when the model has
+/// more than kBandGroup bands); the last group finishes each
 /// kScreenBlock-pixel block's scores in registers and screens them in the
-/// same pass against the heap threshold read at the block's start.  A
-/// block whose scores all pass `s < threshold && s > -inf` holds no bad
-/// point and nothing the heap could take, so it is done; a flagged block
-/// (NaN, ±inf, or a score reaching the threshold) goes through
-/// offer_scores.  Returns the run's bad-point count.
-inline std::uint64_t offer_linear_run_body(const TiledArchive& archive, const LinearModel& model,
-                                           std::size_t x, std::size_t y, std::size_t n,
-                                           TopK<RasterHit>& top, double* sums) {
+/// same pass against the heap threshold read at the block's start.
+inline void offer_solo_run(const TiledArchive& archive, LinearRunMember& member, std::size_t x,
+                           std::size_t y, std::size_t n) {
+  const LinearModel& model = *member.model;
+  TopK<RasterHit>& top = *member.top;
+  double* sums = member.sums;
   const std::size_t bands = model.dim();
   const std::size_t offset = y * archive.width() + x;
   const double bias = model.bias();
@@ -331,10 +357,194 @@ inline std::uint64_t offer_linear_run_body(const TiledArchive& archive, const Li
     return bad;
   };
   switch (bands - last) {
-    case 1: return finish(BandGroup<1>(archive, model, last, offset));
-    case 2: return finish(BandGroup<2>(archive, model, last, offset));
-    case 3: return finish(BandGroup<3>(archive, model, last, offset));
-    default: return finish(BandGroup<kBandGroup>(archive, model, last, offset));
+    case 1: member.bad += finish(BandGroup<1>(archive, model, last, offset)); break;
+    case 2: member.bad += finish(BandGroup<2>(archive, model, last, offset)); break;
+    case 3: member.bad += finish(BandGroup<3>(archive, model, last, offset)); break;
+    default: member.bad += finish(BandGroup<kBandGroup>(archive, model, last, offset)); break;
+  }
+}
+
+/// Scores pixels [i0, i0+m) of the run at flat offset `offset` with
+/// `model` into out[0, m), group by group in band order: the sums the
+/// one-member pass forms, pixel for pixel.  Returns, as that pass's last
+/// group does, whether some score fails the screen `s < threshold &&
+/// s > -inf`.
+inline bool screen_block(const TiledArchive& archive, const LinearModel& model,
+                         std::size_t offset, std::size_t i0, std::size_t m, double threshold,
+                         double* out) {
+  const std::size_t bands = model.dim();
+  const double bias = model.bias();
+  const std::size_t last = (bands - 1) / kBandGroup * kBandGroup;
+  for (std::size_t g0 = 0; g0 < last; g0 += kBandGroup) {
+    (void)BandGroup<kBandGroup>(archive, model, g0, offset)
+        .add(i0, m, g0 == 0 ? nullptr : out, bias, kNegInf, out);
+  }
+  const double* in = last == 0 ? nullptr : out;
+  switch (bands - last) {
+    case 1: return BandGroup<1>(archive, model, last, offset).add(i0, m, in, bias, threshold, out);
+    case 2: return BandGroup<2>(archive, model, last, offset).add(i0, m, in, bias, threshold, out);
+    case 3: return BandGroup<3>(archive, model, last, offset).add(i0, m, in, bias, threshold, out);
+    default:
+      return BandGroup<kBandGroup>(archive, model, last, offset)
+          .add(i0, m, in, bias, threshold, out);
+  }
+}
+
+/// The smallest and largest sample of pixels [i0, i0+m) of each of the
+/// first `bands` planes, into lo[b] and hi[b]; returns whether every sample
+/// is finite.  It sums the samples: NaN or ±inf anywhere leaves the total
+/// non-finite, and an overflowing total of finite samples only answers
+/// false where true was due.  A whole block is read as four-double vectors.
+inline bool block_extremes(const double* const* plane, std::size_t bands, std::size_t i0,
+                           std::size_t m, double* lo, double* hi) {
+  using f64x4 = double __attribute__((vector_size(4 * sizeof(double))));
+  static_assert(kScreenBlock == 16);
+  double total = 0.0;
+  if (m == kScreenBlock) {
+    f64x4 sum{};
+    for (std::size_t b = 0; b < bands; ++b) {
+      f64x4 v0, v1, v2, v3;
+      std::memcpy(&v0, plane[b] + i0, sizeof v0);
+      std::memcpy(&v1, plane[b] + i0 + 4, sizeof v1);
+      std::memcpy(&v2, plane[b] + i0 + 8, sizeof v2);
+      std::memcpy(&v3, plane[b] + i0 + 12, sizeof v3);
+      const f64x4 lo01 = v0 < v1 ? v0 : v1;
+      const f64x4 lo23 = v2 < v3 ? v2 : v3;
+      const f64x4 low = lo01 < lo23 ? lo01 : lo23;
+      const f64x4 hi01 = v0 > v1 ? v0 : v1;
+      const f64x4 hi23 = v2 > v3 ? v2 : v3;
+      const f64x4 high = hi01 > hi23 ? hi01 : hi23;
+      const double low01 = low[0] < low[1] ? low[0] : low[1];
+      const double low23 = low[2] < low[3] ? low[2] : low[3];
+      lo[b] = low01 < low23 ? low01 : low23;
+      const double high01 = high[0] > high[1] ? high[0] : high[1];
+      const double high23 = high[2] > high[3] ? high[2] : high[3];
+      hi[b] = high01 > high23 ? high01 : high23;
+      sum += (v0 + v1) + (v2 + v3);
+    }
+    total = (sum[0] + sum[1]) + (sum[2] + sum[3]);
+  } else {
+    for (std::size_t b = 0; b < bands; ++b) {
+      const double* p = plane[b] + i0;
+      double low = p[0];
+      double high = p[0];
+      double band_total = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        low = p[i] < low ? p[i] : low;
+        high = p[i] > high ? p[i] : high;
+        band_total += p[i];
+      }
+      lo[b] = low;
+      hi[b] = high;
+      total += band_total;
+    }
+  }
+  return total - total == 0.0;
+}
+
+/// The shared pass over `count` ≤ kPassLanes members of a model with
+/// `bands` ≤ kPassBands bands.  Each kScreenBlock-pixel block of every
+/// band is read once (block_extremes): its smallest and largest sample, and
+/// whether every sample is finite.  Each member then bounds its block in
+/// the order its scores are summed — bias, then w·(largest or smallest
+/// sample, whichever gives the larger product) band by band — which bounds
+/// every score of the block from above, because rounding is monotone; the
+/// mirror sum bounds them from below.  A member whose samples are finite,
+/// whose upper bound lies below its own heap threshold (read at the block's
+/// start) and whose lower bound lies above -inf has no score in the block
+/// the heap could take and no bad point there, so it is done.  Any other
+/// member — a NaN or an infinity in the block, an overflow, or a bound
+/// reaching the threshold — scores and screens the block exactly from the
+/// cache (screen_block), and offers it through offer_scores only if a
+/// score fails the screen, as the one-member pass would.  A member whose
+/// bounds keep reaching its threshold thus pays an in-cache pass over its
+/// block rather than a per-pixel offer.  The bounds run four members to a
+/// vector; spare lanes bound to zero against a +inf threshold and never
+/// flag.
+inline void offer_shared_lanes(const TiledArchive& archive, LinearRunMember* members,
+                               std::size_t count, std::size_t bands, std::size_t x,
+                               std::size_t y, std::size_t n) {
+  using f64x4 = double __attribute__((vector_size(4 * sizeof(double))));
+  using i64x4 = long long __attribute__((vector_size(4 * sizeof(long long))));
+  constexpr std::size_t kQuads = kPassLanes / 4;
+  constexpr double kPosInf = std::numeric_limits<double>::infinity();
+  const std::size_t offset = y * archive.width() + x;
+  const std::size_t quads = (count + 3) / 4;
+  std::array<const double*, kPassBands> plane{};
+  for (std::size_t b = 0; b < bands; ++b) plane[b] = archive.band(b).flat().data() + offset;
+  std::array<std::array<f64x4, kPassBands>, kQuads> weight{};
+  std::array<std::array<i64x4, kPassBands>, kQuads> positive{};
+  std::array<f64x4, kQuads> bias{};
+  std::array<f64x4, kQuads> threshold{};  // moves only when an offer lands
+  for (std::size_t j = 0; j < quads * 4; ++j) {
+    const std::size_t q = j / 4;
+    const std::size_t lane = j % 4;
+    threshold[q][lane] = j < count ? members[j].top->threshold() : kPosInf;
+    if (j >= count) continue;
+    const LinearModel& model = *members[j].model;
+    bias[q][lane] = model.bias();
+    for (std::size_t b = 0; b < bands; ++b) weight[q][b][lane] = model.weight(b);
+  }
+  const f64x4 zero{};
+  for (std::size_t q = 0; q < quads; ++q) {
+    for (std::size_t b = 0; b < bands; ++b) positive[q][b] = weight[q][b] >= zero;
+  }
+  const f64x4 neg_inf{kNegInf, kNegInf, kNegInf, kNegInf};
+  std::array<double, kPassBands> lo{};
+  std::array<double, kPassBands> hi{};
+  double block[kScreenBlock];
+  for (std::size_t i0 = 0; i0 < n; i0 += kScreenBlock) {
+    const std::size_t m = std::min(kScreenBlock, n - i0);
+    const bool finite = block_extremes(plane.data(), bands, i0, m, lo.data(), hi.data());
+    for (std::size_t q = 0; q < quads; ++q) {
+      f64x4 upper = bias[q];
+      f64x4 lower = bias[q];
+      for (std::size_t b = 0; b < bands; ++b) {
+        const f64x4 low{lo[b], lo[b], lo[b], lo[b]};
+        const f64x4 high{hi[b], hi[b], hi[b], hi[b]};
+        upper += weight[q][b] * (positive[q][b] ? high : low);
+        lower += weight[q][b] * (positive[q][b] ? low : high);
+      }
+      const i64x4 done = (upper < threshold[q]) & (lower > neg_inf);
+      if (finite && (done[0] & done[1] & done[2] & done[3]) != 0) continue;
+      for (std::size_t lane = 0; lane < 4 && q * 4 + lane < count; ++lane) {
+        if (finite && done[lane] != 0) continue;
+        LinearRunMember& member = members[q * 4 + lane];
+        if (screen_block(archive, *member.model, offset, i0, m, threshold[q][lane], block)) {
+          member.bad += offer_scores(block, m, x + i0, y, *member.top);
+          threshold[q][lane] = member.top->threshold();
+        }
+      }
+    }
+  }
+}
+
+/// The one body of offer_linear_run, compiled once per entry below.
+/// Scores pixels [x, x+n) of row y for every member (linear models over
+/// the archive's bands) and offers them.  Each score is summed as
+/// ((bias + w0·p0) + w1·p1) + … in band index order — exactly the sum
+/// LinearModel::evaluate forms, so scores are bit-identical to it.  A
+/// block whose scores all pass `s < threshold && s > -inf` holds no bad
+/// point and nothing the heap could take, so it is done; a flagged block
+/// (NaN, ±inf, or a score reaching the threshold) goes through
+/// offer_scores.
+///
+/// One member streams the planes in one fused pass per group of up to
+/// kBandGroup bands (offer_solo_run), at the memory floor.  Several
+/// members share each block's read of the planes (offer_shared_lanes):
+/// a member pays for its block's bound, and sums its scores only where
+/// the bound cannot rule the block out, so the pass's cost grows with the
+/// members by their bounds rather than by full scans.
+inline void offer_linear_run_body(const TiledArchive& archive, std::span<LinearRunMember> members,
+                                  std::size_t x, std::size_t y, std::size_t n) {
+  const std::size_t bands = archive.band_count();
+  if (members.size() == 1 || bands > kPassBands) {
+    for (LinearRunMember& member : members) offer_solo_run(archive, member, x, y, n);
+    return;
+  }
+  for (std::size_t j0 = 0; j0 < members.size(); j0 += kPassLanes) {
+    offer_shared_lanes(archive, members.data() + j0, std::min(kPassLanes, members.size() - j0),
+                       bands, x, y, n);
   }
 }
 
@@ -342,28 +552,79 @@ inline std::uint64_t offer_linear_run_body(const TiledArchive& archive, const Li
 /// no FMA) and for the baseline ISA, every call inside it inlined.  Both
 /// return the same hits, score bytes and bad-point counts; the AVX2 entry
 /// may only run where host_has_avx2().
-std::uint64_t offer_linear_run_avx2(const TiledArchive& archive, const LinearModel& model,
-                                    std::size_t x, std::size_t y, std::size_t n,
-                                    TopK<RasterHit>& top, double* sums);
-std::uint64_t offer_linear_run_baseline(const TiledArchive& archive, const LinearModel& model,
-                                        std::size_t x, std::size_t y, std::size_t n,
-                                        TopK<RasterHit>& top, double* sums);
+void offer_linear_run_avx2(const TiledArchive& archive, std::span<LinearRunMember> members,
+                           std::size_t x, std::size_t y, std::size_t n);
+void offer_linear_run_baseline(const TiledArchive& archive, std::span<LinearRunMember> members,
+                               std::size_t x, std::size_t y, std::size_t n);
 
 /// Whether this host's CPU and OS run AVX2 code (checked once).
 [[nodiscard]] bool host_has_avx2() noexcept;
 
 }  // namespace detail
 
-/// Scores and offers pixels [x, x+n) of row y with a linear model: see
+/// Scores and offers pixels [x, x+n) of row y for every member: see
 /// detail::offer_linear_run_body.  Runs the AVX2 entry on a host that
 /// supports it and the baseline entry otherwise, picked once per process.
-std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& model,
-                               std::size_t x, std::size_t y, std::size_t n, TopK<RasterHit>& top,
-                               double* sums);
+/// Every member's hits, score bytes and bad points equal those of a call
+/// with that member alone.
+void offer_linear_run(const TiledArchive& archive, std::span<LinearRunMember> members,
+                      std::size_t x, std::size_t y, std::size_t n);
+
+/// The one-member offer_linear_run: returns the run's bad-point count.
+inline std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& model,
+                                      std::size_t x, std::size_t y, std::size_t n,
+                                      TopK<RasterHit>& top, double* sums) {
+  LinearRunMember member{&model, &top, sums, 0};
+  offer_linear_run(archive, std::span(&member, 1), x, y, n);
+  return member.bad;
+}
 
 /// The instruction set offer_linear_run runs on this host: "avx2" or
 /// "baseline".  Benchmarks stamp it into their reports.
 [[nodiscard]] std::string_view kernel_isa() noexcept;
+
+/// Counts a scored run of n pixels and its `bad` bad points into the
+/// tally, and the bad points into the context.
+inline void tally_run(std::size_t n, std::uint64_t bad, QueryContext& ctx, ScanTally& tally) {
+  tally.pixels += n;
+  if (bad > 0) {
+    ctx.note_bad_points(bad);
+    tally.bad_points += bad;
+  }
+}
+
+/// Bills a run of n pixels the fused linear pass scored: n·bands points,
+/// n·bands·8 bytes and n·N ops (full_pixel bills the per-pixel path itself).
+inline void bill_linear_run(std::size_t n, std::size_t bands, std::uint64_t unit,
+                            CostMeter& meter) {
+  meter.add_points(n * bands);
+  meter.add_bytes(n * bands * sizeof(double));
+  meter.add_ops(n * unit);
+}
+
+/// Scores, offers and bills pixels [x, x+n) of row y, a run already paid
+/// for: through offer_linear_run for a linear model (`linear` non-null),
+/// else per pixel through full_pixel into scratch[0, n) and offer_scores,
+/// with each pixel gathered into scratch[n, n+bands).  For a linear model
+/// with more than kBandGroup bands, scratch[0, n) holds the partial sums.
+inline void score_run_full(const TiledArchive& archive, const RasterModel& model,
+                           const LinearModel* linear, std::size_t x, std::size_t n, std::size_t y,
+                           TopK<RasterHit>& top, double* scratch, QueryContext& ctx,
+                           CostMeter& meter, ScanTally& tally) {
+  const std::size_t bands = archive.band_count();
+  std::uint64_t bad = 0;
+  if (linear != nullptr) {
+    bad = offer_linear_run(archive, *linear, x, y, n, top, scratch);
+    bill_linear_run(n, bands, model.ops_per_evaluation(), meter);
+  } else {
+    const std::span<double> pixel(scratch + n, bands);
+    for (std::size_t i = 0; i < n; ++i) {
+      scratch[i] = full_pixel(archive, model, x + i, y, pixel, meter);
+    }
+    bad = offer_scores(scratch, n, x, y, top);
+  }
+  tally_run(n, bad, ctx, tally);
+}
 
 /// The full-model row kernel under every full scan: scores pixels [x0,x1)
 /// of row y, offering every finite score that reaches the heap's threshold
@@ -372,8 +633,9 @@ std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& m
 /// at a time: take_runs() pays for the pixels its held allowance covers,
 /// and a run it cannot start pays one pixel through charge(), which may
 /// refill, check the deadline or refuse — so a single worker trips on
-/// exactly the pixel per-pixel charging would.  The meter is billed once
-/// per run: n·bands points, n·bands·8 bytes, n·N ops.
+/// exactly the pixel per-pixel charging would.  Each run is scored and
+/// billed by score_run_full: the meter once per run, n·bands points,
+/// n·bands·8 bytes, n·N ops.
 ///
 /// `linear` is linear_model_of(model), looked up once per scan by the
 /// caller: a linear model is scored and screened by offer_linear_run's
@@ -383,60 +645,174 @@ std::uint64_t offer_linear_run(const TiledArchive& archive, const LinearModel& m
 /// scores and gathered pixel, and the partial sums of a linear model with
 /// more than kBandGroup bands.  Returns false once a charge is refused (the
 /// context is then stopped), true when the row is done.
-inline bool scan_row_full(const TiledArchive& archive, const RasterModel& model,
-                          const LinearModel* linear, std::size_t x0, std::size_t x1,
-                          std::size_t y, TopK<RasterHit>& top, std::vector<double>& scratch,
-                          ChargeLease& lease, QueryContext& ctx, CostMeter& meter,
-                          ScanTally& tally) {
+///
+/// Always inlined: the tile walker calls it once per tile span (32 pixels
+/// on a tile-hashed shard leg), and with score_run_full inside it the
+/// compiler would otherwise emit it out of line, a twelve-argument call
+/// per span.
+[[gnu::always_inline]] inline bool scan_row_full(
+    const TiledArchive& archive, const RasterModel& model, const LinearModel* linear,
+    std::size_t x0, std::size_t x1, std::size_t y, TopK<RasterHit>& top,
+    std::vector<double>& scratch, ChargeLease& lease, QueryContext& ctx, CostMeter& meter,
+    ScanTally& tally) {
   const std::uint64_t unit = model.ops_per_evaluation();
-  const std::size_t bands = archive.band_count();
-  if (scratch.size() < x1 - x0 + bands) scratch.resize(x1 - x0 + bands);
-  double* scores = scratch.data();
-  const std::span<double> pixel(scratch.data() + (x1 - x0), bands);
+  if (scratch.size() < x1 - x0 + archive.band_count()) {
+    scratch.resize(x1 - x0 + archive.band_count());
+  }
   for (std::size_t x = x0; x < x1;) {
     std::size_t n = lease.take_runs(x1 - x, unit);
     if (n == 0) {
       if (!lease.charge(unit)) return false;
       n = 1 + lease.take_runs(x1 - x - 1, unit);
     }
-    tally.pixels += n;
-    std::uint64_t bad = 0;
-    if (linear != nullptr) {
-      bad = offer_linear_run(archive, *linear, x, y, n, top, scores);
-      meter.add_points(n * bands);
-      meter.add_bytes(n * bands * sizeof(double));
-      meter.add_ops(n * unit);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        scores[i] = full_pixel(archive, model, x + i, y, pixel, meter);
-      }
-      bad = offer_scores(scores, n, x, y, top);
-    }
-    if (bad > 0) {
-      ctx.note_bad_points(bad);
-      tally.bad_points += bad;
-    }
+    score_run_full(archive, model, linear, x, n, y, top, scratch.data(), ctx, meter, tally);
     x += n;
   }
   return true;
 }
 
-/// Scans the rectangle [x0,x1)×[y0,y1) with the full model, one
-/// scan_row_full per row, through a ChargeLease held for the call and
-/// released on return.  Stops early — possibly mid-row — once the context
-/// stops; callers check ctx.stopped() to distinguish.
+/// One member of a full scan over a rectangle (scan_rect_full): its model,
+/// and the heap, row buffer, context, meter and tally it scans into.
+/// Members of one call must not share a context, heap or row buffer.
+struct ScanMember {
+  const RasterModel* model = nullptr;
+  TopK<RasterHit>* top = nullptr;
+  std::vector<double>* scratch = nullptr;
+  QueryContext* ctx = nullptr;
+  CostMeter* meter = nullptr;
+  ScanTally* tally = nullptr;
+};
+
+namespace detail {
+
+/// A member's state for one scan_rect_full call: its lease, held for the
+/// call and released when the state is destroyed, and how much of the run
+/// it last took is still unscored.
+struct ScanMemberState {
+  ScanMemberState(const ScanMember& m, std::size_t width, std::size_t bands)
+      : member(&m), linear(linear_model_of(*m.model)), unit(m.model->ops_per_evaluation()),
+        lease(*m.ctx) {
+    if (m.scratch->size() < width + bands) m.scratch->resize(width + bands);
+  }
+
+  const ScanMember* member;
+  const LinearModel* linear;
+  std::uint64_t unit;
+  ChargeLease lease;
+  bool scanning = true;
+  std::size_t left = 0;  ///< paid-for pixels of the current run not yet scored
+};
+
+/// The rows × members loop behind scan_rect_full.  Row by row, the
+/// members still scanning advance together along the row.  Each takes its
+/// runs exactly as scan_row_full would — take_runs() over the rest of the
+/// row, or, when its allowance is spent, one charge() (which may refill,
+/// check the deadline or refuse) and take_runs() after it — so each spends,
+/// trips and stops on exactly the pixel its solo scan does.  The pixels
+/// every scanning member has paid for are scored together: the linear
+/// members in one offer_linear_run call over `pass` (one slot per member),
+/// any other model per pixel.  Members that lease alike — the same unit
+/// and no budget in sight — take their runs at the same pixels, so the
+/// shared span is a whole run.  Each member bills exactly the pixels it
+/// scored, so its bill and tally equal its solo scan's.
+inline void scan_rows_full(const TiledArchive& archive, std::size_t x0, std::size_t x1,
+                           std::size_t y0, std::size_t y1, std::span<ScanMemberState> states,
+                           LinearRunMember* pass) {
+  const std::size_t bands = archive.band_count();
+  for (std::size_t y = y0; y < y1; ++y) {
+    bool scanning = false;
+    for (ScanMemberState& s : states) {
+      if (s.scanning && s.member->ctx->stopped()) s.scanning = false;
+      scanning = scanning || s.scanning;
+    }
+    if (!scanning) return;
+    for (std::size_t x = x0; x < x1;) {
+      std::size_t span = x1 - x;
+      bool any = false;
+      for (ScanMemberState& s : states) {
+        if (!s.scanning) continue;
+        if (s.left == 0) {
+          std::size_t n = s.lease.take_runs(x1 - x, s.unit);
+          if (n == 0) {
+            if (!s.lease.charge(s.unit)) {
+              s.scanning = false;
+              continue;
+            }
+            n = 1 + s.lease.take_runs(x1 - x - 1, s.unit);
+          }
+          s.left = n;
+        }
+        span = std::min(span, s.left);
+        any = true;
+      }
+      if (!any) break;
+      std::size_t joined = 0;
+      for (ScanMemberState& s : states) {
+        if (!s.scanning) continue;
+        const ScanMember& m = *s.member;
+        if (s.linear != nullptr) {
+          pass[joined++] = {s.linear, m.top, m.scratch->data(), 0};
+        } else {
+          score_run_full(archive, *m.model, nullptr, x, span, y, *m.top, m.scratch->data(), *m.ctx,
+                         *m.meter, *m.tally);
+        }
+      }
+      if (joined > 0) offer_linear_run(archive, std::span(pass, joined), x, y, span);
+      std::size_t j = 0;
+      for (ScanMemberState& s : states) {
+        if (!s.scanning) continue;
+        s.left -= span;
+        if (s.linear == nullptr) continue;
+        const ScanMember& m = *s.member;
+        bill_linear_run(span, bands, s.unit, *m.meter);
+        tally_run(span, pass[j++].bad, *m.ctx, *m.tally);
+      }
+      x += span;
+    }
+  }
+}
+
+}  // namespace detail
+
+/// Scans the rectangle [x0,x1)×[y0,y1) for every member with the full
+/// model: rows in order, each member through a ChargeLease held for the
+/// call, the members with a linear model scoring each span they have all
+/// paid for in one shared offer_linear_run call (detail::scan_rows_full).
+/// Every member's
+/// hits, score bytes, bad points, bill, books and stop equal those of a
+/// call with that member alone.  A member stops early — possibly mid-row —
+/// once its context stops; callers check its ctx.stopped() to tell.
+inline void scan_rect_full(const TiledArchive& archive, std::size_t x0, std::size_t x1,
+                           std::size_t y0, std::size_t y1, std::span<const ScanMember> members) {
+  const std::size_t bands = archive.band_count();
+  if (members.size() == 1) {
+    // One member takes the same runs through scan_row_full, row by row,
+    // without the per-run bookkeeping of members advancing together.
+    const ScanMember& m = members[0];
+    detail::ScanMemberState state(m, x1 - x0, bands);
+    for (std::size_t y = y0; y < y1 && !m.ctx->stopped(); ++y) {
+      if (!scan_row_full(archive, *m.model, state.linear, x0, x1, y, *m.top, *m.scratch,
+                         state.lease, *m.ctx, *m.meter, *m.tally)) {
+        return;
+      }
+    }
+    return;
+  }
+  std::vector<detail::ScanMemberState> states;
+  states.reserve(members.size());
+  for (const ScanMember& m : members) states.emplace_back(m, x1 - x0, bands);
+  std::vector<LinearRunMember> pass(members.size());
+  detail::scan_rows_full(archive, x0, x1, y0, y1, states, pass.data());
+}
+
+/// The one-member scan_rect_full: scans the rectangle with `model` into
+/// `top`, `meter` and `tally` through a lease held for the call.
 inline void scan_rect_full(const TiledArchive& archive, const RasterModel& model, std::size_t x0,
                            std::size_t x1, std::size_t y0, std::size_t y1, TopK<RasterHit>& top,
                            std::vector<double>& scratch, QueryContext& ctx, CostMeter& meter,
                            ScanTally& tally) {
-  ChargeLease lease(ctx);
-  const LinearModel* linear = linear_model_of(model);
-  for (std::size_t y = y0; y < y1 && !ctx.stopped(); ++y) {
-    if (!scan_row_full(archive, model, linear, x0, x1, y, top, scratch, lease, ctx, meter,
-                       tally)) {
-      return;
-    }
-  }
+  const ScanMember member{&model, &top, &scratch, &ctx, &meter, &tally};
+  scan_rect_full(archive, x0, x1, y0, y1, std::span(&member, 1));
 }
 
 /// Staged scan of pixels [x0,x1) of row y through `lease`, pixel by pixel

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <span>
 #include <vector>
 
+#include "obs/clock.hpp"
 #include "obs/trace.hpp"
 
 namespace mmir {
@@ -35,7 +38,7 @@ struct alignas(64) WorkerState {
 /// entry under its original pixel rank; local heaps hold the canonical top-K
 /// of their partition, so the union contains the canonical global top-K and
 /// the merge is byte-identical to a serial scan.  Returns the summed tally.
-exec::ScanTally merge_workers(std::vector<WorkerState>& workers, std::size_t k, RasterTopK& out,
+exec::ScanTally merge_workers(std::span<WorkerState> workers, std::size_t k, RasterTopK& out,
                               CostMeter& meter) {
   TopK<RasterHit> merged(k);
   exec::ScanTally tally;
@@ -155,36 +158,69 @@ RasterTopK parallel_screened_top_k(const TiledArchive& archive, const RasterMode
 
 }  // namespace
 
+void parallel_full_scan_top_k(const TiledArchive& archive,
+                              std::span<const FullScanMember> members, ThreadPool& pool) {
+  const std::size_t count = members.size();
+  for (const FullScanMember& m : members) {
+    MMIR_EXPECTS(m.k > 0);
+    MMIR_EXPECTS(m.model->bands() == archive.band_count());
+  }
+  const auto started = obs::Clock::now();
+  const std::size_t slots = pool.slot_count();
+  std::vector<obs::Span> spans;
+  std::vector<std::uint64_t> ops_before;
+  // Member-major: member j's per-worker states are workers[j·slots, (j+1)·slots).
+  std::vector<WorkerState> workers;
+  spans.reserve(count);
+  ops_before.reserve(count);
+  workers.reserve(count * slots);
+  for (const FullScanMember& m : members) {
+    spans.push_back(obs::Span::child_of(m.ctx->span(), "parallel_full_scan"));
+    ops_before.push_back(m.meter->ops());
+    for (std::size_t slot = 0; slot < slots; ++slot) workers.emplace_back(m.k);
+  }
+
+  pool.parallel_for(0, archive.height(), row_grain(archive.height(), slots),
+                    [&](std::size_t y0, std::size_t y1, std::size_t slot) {
+                      std::vector<exec::ScanMember> scanning;
+                      scanning.reserve(count);
+                      for (std::size_t j = 0; j < count; ++j) {
+                        if (members[j].ctx->stopped()) continue;
+                        WorkerState& w = workers[j * slots + slot];
+                        scanning.push_back({members[j].model, &w.top, &w.scratch, members[j].ctx,
+                                            &w.meter, &w.tally});
+                      }
+                      if (!scanning.empty()) {
+                        exec::scan_rect_full(archive, 0, archive.width(), y0, y1, scanning);
+                      }
+                    });
+
+  for (std::size_t j = 0; j < count; ++j) {
+    const FullScanMember& m = members[j];
+    RasterTopK& out = *m.result;
+    const exec::ScanTally tally = merge_workers(
+        std::span(workers).subspan(j * slots, slots), m.k, out, *m.meter);
+    if (m.ctx->stopped()) {
+      out.status = m.ctx->stop_reason();
+      out.missed_bound = exec::archive_score_bound(archive, *m.model);
+    } else {
+      out.status = exec::completion_status(archive, out.bad_points);
+    }
+    exec::annotate_efficiency(spans[j], archive, m.model->ops_per_evaluation(), tally.pixels,
+                              m.meter->ops() - ops_before[j]);
+    spans[j].annotate("workers", static_cast<double>(slots));
+    exec::annotate_result(spans[j], out, *m.meter);
+    m.meter->add_wall(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(obs::Clock::now() - started));
+  }
+}
+
 RasterTopK parallel_full_scan_top_k(const TiledArchive& archive, const RasterModel& model,
                                     std::size_t k, QueryContext& ctx, CostMeter& meter,
                                     ThreadPool& pool) {
-  MMIR_EXPECTS(k > 0);
-  MMIR_EXPECTS(model.bands() == archive.band_count());
-  ScopedTimer timer(meter);
-  obs::Span span = obs::Span::child_of(ctx.span(), "parallel_full_scan");
   RasterTopK out;
-  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k));
-  const std::uint64_t ops_before = meter.ops();
-
-  pool.parallel_for(0, archive.height(), row_grain(archive.height(), pool.slot_count()),
-                    [&](std::size_t y0, std::size_t y1, std::size_t slot) {
-                      if (ctx.stopped()) return;
-                      WorkerState& w = workers[slot];
-                      exec::scan_rect_full(archive, model, 0, archive.width(), y0, y1, w.top,
-                                           w.scratch, ctx, w.meter, w.tally);
-                    });
-
-  const exec::ScanTally tally = merge_workers(workers, k, out, meter);
-  if (ctx.stopped()) {
-    out.status = ctx.stop_reason();
-    out.missed_bound = exec::archive_score_bound(archive, model);
-  } else {
-    out.status = exec::completion_status(archive, out.bad_points);
-  }
-  exec::annotate_efficiency(span, archive, model.ops_per_evaluation(), tally.pixels,
-                            meter.ops() - ops_before);
-  span.annotate("workers", static_cast<double>(pool.slot_count()));
-  exec::annotate_result(span, out, meter);
+  const FullScanMember member{&model, k, &ctx, &meter, &out};
+  parallel_full_scan_top_k(archive, std::span(&member, 1), pool);
   return out;
 }
 

@@ -20,6 +20,12 @@
 // (score desc, pixel rank asc) order, so completed parallel runs return the
 // serial executors' top-K byte for byte, exact ties included.
 //
+// The full-scan executor takes a span of members over one archive: a batch
+// group's consecutive linear full scans score each row span they have all
+// paid for in one shared pass, so the band planes are read once for all of
+// them (a cooperative scan, Zukowski et al., VLDB 2007).  A solo full scan
+// is the one-member call.
+//
 // All workers share one QueryContext (concurrency-safe, see
 // core/query_context.hpp), each kernel spending it through its own
 // ChargeLease: the first worker refused latches the stop reason and every
@@ -29,6 +35,7 @@
 // examined; for scan-order executors, the archive-level model bound.
 
 #include <cstddef>
+#include <span>
 
 #include "core/exec_kernels.hpp"
 #include "core/progressive_exec.hpp"
@@ -36,8 +43,32 @@
 
 namespace mmir {
 
-/// Parallel full scan: rows are chunked across workers; no pruning, so the
-/// only shared state is the QueryContext.
+/// One member of a shared full scan: a query (model, k) with its own
+/// context and meter, and where its answer goes.  Members of one call must
+/// not share a context or meter.
+struct FullScanMember {
+  const RasterModel* model = nullptr;
+  std::size_t k = 0;
+  QueryContext* ctx = nullptr;
+  CostMeter* meter = nullptr;
+  RasterTopK* result = nullptr;
+};
+
+/// Parallel full scan of every member over one archive, in one pass over
+/// the rows: row bands are chunked across workers, and in each row the
+/// members whose leases cover the whole row share one fused pass
+/// (exec::scan_rect_full), so the band planes are read once for all of
+/// them.  There is no pruning, so the only state a member shares with its
+/// own workers is its QueryContext; each member has its own per-worker
+/// heaps, meters and tallies, its own merge, status and missed bound, and
+/// gets the answer, bill and books a one-member call would give it.  A
+/// member's trace span is a "parallel_full_scan" child of its context's
+/// span.  An exception from any member's model ends the whole call, so
+/// callers that must fail members alone pass linear models only.
+void parallel_full_scan_top_k(const TiledArchive& archive,
+                              std::span<const FullScanMember> members, ThreadPool& pool);
+
+/// The one-member parallel full scan.
 [[nodiscard]] RasterTopK parallel_full_scan_top_k(const TiledArchive& archive,
                                                   const RasterModel& model, std::size_t k,
                                                   QueryContext& ctx, CostMeter& meter,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "obs/stats_server.hpp"
@@ -48,7 +49,7 @@ struct QueryEngine::BatchGroup {
   const void* key = nullptr;
   std::chrono::steady_clock::time_point deadline;
   bool closed = false;
-  std::vector<JobRunner> members;  ///< in arrival order
+  std::vector<BatchMember> members;  ///< in arrival order
 };
 
 QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
@@ -258,7 +259,8 @@ void QueryEngine::dispatcher_loop() {
 
 template <typename Outcome, typename Execute>
 std::future<Outcome> QueryEngine::enqueue(const char* kind, const JobLimits& limits,
-                                          Execute execute, const void* batch_key) {
+                                          Execute execute, const void* batch_key,
+                                          const RasterJob* pass_scan) {
   auto promise = std::make_shared<std::promise<Outcome>>();
   std::future<Outcome> future = promise->get_future();
   submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -270,7 +272,13 @@ std::future<Outcome> QueryEngine::enqueue(const char* kind, const JobLimits& lim
     run_job(*promise, kind, limits, submitted_at, execute, shed, batch);
   };
   if (batch_key != nullptr && config_.batch_max_fanin > 1) {
-    join_batch(batch_key, limits.priority, submitted_at, JobRunner(std::move(run)));
+    BatchMember member{JobRunner(std::move(run)), nullptr};
+    if constexpr (std::is_same_v<Outcome, RasterOutcome>) {
+      if (pass_scan != nullptr) {
+        member.scan = std::make_shared<const PassScan>(PassScan{*pass_scan, promise, submitted_at});
+      }
+    }
+    join_batch(batch_key, limits.priority, submitted_at, std::move(member));
   } else {
     QueuedTask task;
     task.run = [run = std::move(run)](bool shed) { run(shed, nullptr); };
@@ -284,77 +292,167 @@ void QueryEngine::run_job(std::promise<Outcome>& promise, const char* kind,
                           const JobLimits& limits,
                           std::chrono::steady_clock::time_point submitted_at,
                           const Execute& execute, bool shed, BatchTrace* batch) {
-  Outcome out;
   if (shed) {
     shed_.fetch_add(1, std::memory_order_relaxed);
     jobs_shed_metric_.add();
+    Outcome out;
     mark_shed(out.result);
     promise.set_value(std::move(out));
     return;
   }
+  try {
+    Envelope<Outcome> env;
+    begin_job(env, kind, limits, submitted_at, std::chrono::steady_clock::now(), batch);
+    // Deeper layers (archive/io retries) reach the span through the
+    // SpanScope's thread-local hook.
+    obs::SpanScope scope(env.span);
+    execute(env.ctx, env.out);
+    finish_job(env, promise, batch);
+  } catch (...) {
+    fail_job(promise);
+  }
+}
+
+template <typename Outcome>
+void QueryEngine::begin_job(Envelope<Outcome>& env, const char* kind, const JobLimits& limits,
+                            std::chrono::steady_clock::time_point submitted_at,
+                            std::chrono::steady_clock::time_point started, BatchTrace* batch) {
+  Outcome& out = env.out;
   out.dispatch_order = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const auto started = std::chrono::steady_clock::now();
+  env.started = started;
   out.queue_wait = std::chrono::duration_cast<std::chrono::nanoseconds>(started - submitted_at);
   queue_wait_hist_.observe_duration(out.queue_wait);
+  // One trace per dispatched query, or one `member` span under its batch's
+  // root: the span covers execution, with queue wait recorded as an
+  // annotation (the span clock starts at dispatch, not submission).
+  // Executors hang stage spans off it via ctx.span().
+  if (batch != nullptr) {
+    env.span = obs::Span::child_of(&batch->root, "member");
+    env.span.annotate("member", static_cast<double>(batch->members_run++));
+  } else if (config_.tracer != nullptr) {
+    env.trace = config_.tracer->start_trace(kind);
+    env.span = obs::Span(env.trace.get(), "query");
+    env.span.annotate("query_id", static_cast<double>(env.trace->id()));
+  }
+  if (env.span.active()) {
+    env.span.annotate("queue_wait_ns", static_cast<double>(out.queue_wait.count()));
+    env.span.annotate("priority", static_cast<double>(limits.priority));
+    env.span.annotate("dispatch_order", static_cast<double>(out.dispatch_order));
+    if (limits.op_budget != std::numeric_limits<std::uint64_t>::max()) {
+      env.span.annotate("op_budget", static_cast<double>(limits.op_budget));
+    }
+    if (limits.timeout.count() > 0) {
+      env.span.annotate("timeout_ns", static_cast<double>(limits.timeout.count()));
+    }
+  }
+  configure_context(env.ctx, limits, submitted_at);
+  if (env.span.active()) env.ctx.with_span(&env.span);
+}
+
+template <typename Outcome>
+void QueryEngine::finish_job(Envelope<Outcome>& env, std::promise<Outcome>& promise,
+                             BatchTrace* batch) {
+  Outcome& out = env.out;
+  out.budget_spent = env.ctx.spent();
+  out.exec_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - env.started);
+  exec_time_hist_.observe_duration(out.exec_time);
+  meter_counters_.publish(out.meter);
+  if (config_.metrics != nullptr) refresh_cache_gauges();
+  if (env.span.active()) {
+    env.span.annotate("exec_ns", static_cast<double>(out.exec_time.count()));
+    env.span.annotate("ops_spent", static_cast<double>(out.meter.ops()));
+    env.span.annotate("cache_hits", static_cast<double>(out.meter.cache_hits()));
+    env.span.annotate("cache_misses", static_cast<double>(out.meter.cache_misses()));
+    if (out.cache_hit) env.span.note("result_cache", "hit");
+    env.span.finish();
+  }
+  if (env.trace != nullptr) {
+    out.trace = env.trace;
+    config_.tracer->finish(std::move(env.trace));
+  } else if (batch != nullptr) {
+    out.trace = batch->trace;
+  }
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  jobs_completed_metric_.add();
+  promise.set_value(std::move(out));
+}
+
+template <typename Outcome>
+void QueryEngine::fail_job(std::promise<Outcome>& promise) {
+  failed_.fetch_add(1, std::memory_order_relaxed);
+  jobs_failed_metric_.add();
+  promise.set_exception(std::current_exception());
+}
+
+void QueryEngine::run_pass(std::span<BatchMember> members, BatchTrace* batch) {
+  // One start for the whole pass: every member's queue wait runs to it.
+  const auto started = std::chrono::steady_clock::now();
+  struct Scanning {
+    const PassScan* scan;
+    std::unique_ptr<Envelope<RasterOutcome>> env;
+    std::optional<QueryCacheKey> key;
+  };
+  std::vector<Scanning> scanning;
+  scanning.reserve(members.size());
+  for (const BatchMember& member : members) {
+    const PassScan& scan = *member.scan;
+    const RasterJob& job = scan.job;
+    try {
+      auto env = std::make_unique<Envelope<RasterOutcome>>();
+      begin_job(*env, "raster", job.limits, scan.submitted_at, started, batch);
+      auto key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
+                            job.model_fingerprint, 0);
+      if (cached_result(key, env->out.result, env->out)) {
+        finish_job(*env, *scan.promise, batch);
+        continue;
+      }
+      scanning.push_back({&scan, std::move(env), key});
+    } catch (...) {
+      fail_job(*scan.promise);
+    }
+  }
+  if (scanning.empty()) return;
+  std::vector<FullScanMember> pass;
+  pass.reserve(scanning.size());
+  for (const Scanning& s : scanning) {
+    pass.push_back({s.scan->job.model, s.scan->job.k, &s.env->ctx, &s.env->out.meter,
+                    &s.env->out.result});
+  }
   try {
-    // One trace per dispatched query, or one `member` span under its batch's
-    // root: the span covers execution, with queue wait recorded as an
-    // annotation (the span clock starts at dispatch, not submission).
-    // Executors hang stage spans off it via ctx.span(); deeper layers
-    // (archive/io retries) reach it through the SpanScope's thread-local hook.
-    std::shared_ptr<obs::Trace> trace;
-    obs::Span span;
-    if (batch != nullptr) {
-      span = obs::Span::child_of(&batch->root, "member");
-      span.annotate("member", static_cast<double>(batch->members_run++));
-    } else if (config_.tracer != nullptr) {
-      trace = config_.tracer->start_trace(kind);
-      span = obs::Span(trace.get(), "query");
-      span.annotate("query_id", static_cast<double>(trace->id()));
-    }
-    if (span.active()) {
-      span.annotate("queue_wait_ns", static_cast<double>(out.queue_wait.count()));
-      span.annotate("priority", static_cast<double>(limits.priority));
-      span.annotate("dispatch_order", static_cast<double>(out.dispatch_order));
-      if (limits.op_budget != std::numeric_limits<std::uint64_t>::max()) {
-        span.annotate("op_budget", static_cast<double>(limits.op_budget));
-      }
-      if (limits.timeout.count() > 0) {
-        span.annotate("timeout_ns", static_cast<double>(limits.timeout.count()));
-      }
-    }
-    obs::SpanScope scope(span);
-    QueryContext ctx;
-    configure_context(ctx, limits, submitted_at);
-    if (span.active()) ctx.with_span(&span);
-    execute(ctx, out);
-    out.budget_spent = ctx.spent();
-    out.exec_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - started);
-    exec_time_hist_.observe_duration(out.exec_time);
-    meter_counters_.publish(out.meter);
-    if (config_.metrics != nullptr) refresh_cache_gauges();
-    if (span.active()) {
-      span.annotate("exec_ns", static_cast<double>(out.exec_time.count()));
-      span.annotate("ops_spent", static_cast<double>(out.meter.ops()));
-      span.annotate("cache_hits", static_cast<double>(out.meter.cache_hits()));
-      span.annotate("cache_misses", static_cast<double>(out.meter.cache_misses()));
-      if (out.cache_hit) span.note("result_cache", "hit");
-      span.finish();
-    }
-    if (trace != nullptr) {
-      out.trace = trace;
-      config_.tracer->finish(std::move(trace));
-    } else if (batch != nullptr) {
-      out.trace = batch->trace;
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    jobs_completed_metric_.add();
-    promise.set_value(std::move(out));
+    parallel_full_scan_top_k(*scanning.front().scan->job.archive, pass, *exec_pool_);
   } catch (...) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    jobs_failed_metric_.add();
-    promise.set_exception(std::current_exception());
+    for (const Scanning& s : scanning) fail_job(*s.scan->promise);
+    return;
+  }
+  for (const Scanning& s : scanning) {
+    try {
+      cache_result(s.key, s.env->out.result);
+      finish_job(*s.env, *s.scan->promise, batch);
+    } catch (...) {
+      fail_job(*s.scan->promise);
+    }
+  }
+}
+
+bool QueryEngine::cached_result(const std::optional<QueryCacheKey>& key, RasterTopK& result,
+                                OutcomeInfo& info) {
+  if (!key) return false;
+  if (auto hit = result_cache_->get(*key)) {
+    result = **hit;
+    info.cache_hit = true;
+    info.meter.add_cache_hits();
+    return true;
+  }
+  info.meter.add_cache_misses();
+  return false;
+}
+
+void QueryEngine::cache_result(const std::optional<QueryCacheKey>& key, const RasterTopK& result) {
+  // Only answers that do not depend on this query's budget/deadline are
+  // admissible: a truncated result would poison future lookups.
+  if (key && !is_truncated(result.status)) {
+    result_cache_->put(*key, std::make_shared<const RasterTopK>(result));
   }
 }
 
@@ -405,19 +503,19 @@ std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
   } else {
     MMIR_EXPECTS(job.model != nullptr);
   }
+  // A linear full scan may share a pass with its batch-mates.  Any other
+  // model's evaluate() may stall or throw, and so may the executor on a
+  // model whose band count is not the archive's; its batch-mates must
+  // neither wait for it nor fail with it, so it runs on its own.
+  const bool shares_scan = config_.batch_max_fanin > 1 && job.mode == RasterJob::Mode::kFullScan &&
+                           job.model->bands() == job.archive->band_count() &&
+                           exec::linear_model_of(*job.model) != nullptr;
   return enqueue<RasterOutcome>(
-      "raster", job.limits, [this, job](QueryContext& ctx, RasterOutcome& out) {
+      "raster", job.limits,
+      [this, job](QueryContext& ctx, RasterOutcome& out) {
         const auto key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
                                     job.model_fingerprint, 0);
-        if (key) {
-          if (auto hit = result_cache_->get(*key)) {
-            out.result = **hit;
-            out.cache_hit = true;
-            out.meter.add_cache_hits();
-            return;
-          }
-          out.meter.add_cache_misses();
-        }
+        if (cached_result(key, out.result, out)) return;
 
         switch (job.mode) {
           case RasterJob::Mode::kFullScan:
@@ -437,14 +535,9 @@ std::future<RasterOutcome> QueryEngine::submit(RasterJob job) {
                                                              job.k, ctx, out.meter, *exec_pool_);
             break;
         }
-
-        // Only answers that do not depend on this query's budget/deadline
-        // are admissible: a truncated result would poison future lookups.
-        if (key && !is_truncated(out.result.status)) {
-          result_cache_->put(*key, std::make_shared<const RasterTopK>(out.result));
-        }
+        cache_result(key, out.result);
       },
-      job.archive);
+      job.archive, shares_scan ? &job : nullptr);
 }
 
 std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
@@ -463,15 +556,7 @@ std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
         const ShardedArchive& sharded = *job.sharded;
         const auto key = result_key(job.mode, job.model, job.progressive, job.k, job.archive_id,
                                     job.model_fingerprint, sharded.layout_tag());
-        if (key) {
-          if (auto hit = result_cache_->get(*key)) {
-            out.result.merged = **hit;
-            out.cache_hit = true;
-            out.meter.add_cache_hits();
-            return;
-          }
-          out.meter.add_cache_misses();
-        }
+        if (cached_result(key, out.result.merged, out)) return;
 
         // The engine-wide fault envelope: per-shard sub-deadlines, retries,
         // hedging, chaos injection.  Inactive options pass through to the
@@ -506,10 +591,7 @@ std::future<ShardedRasterOutcome> QueryEngine::submit(ShardedRasterJob job) {
 
         // A fault-widened (degraded) merge is also inadmissible: the widened
         // bound is an artifact of this execution's faults, not of the data.
-        if (key && !is_truncated(out.result.merged.status) &&
-            !out.result.fault_stats.any_fault()) {
-          result_cache_->put(*key, std::make_shared<const RasterTopK>(out.result.merged));
-        }
+        if (!out.result.fault_stats.any_fault()) cache_result(key, out.result.merged);
       });
 }
 
@@ -535,7 +617,7 @@ std::future<ShardScanOutcome> QueryEngine::submit(ShardScanJob job) {
 
 void QueryEngine::join_batch(const void* key, Priority priority,
                              std::chrono::steady_clock::time_point submitted_at,
-                             JobRunner member) {
+                             BatchMember member) {
   std::shared_ptr<BatchGroup> group;
   {
     std::lock_guard<std::mutex> lock(batch_mutex_);
@@ -564,7 +646,7 @@ void QueryEngine::join_batch(const void* key, Priority priority,
 }
 
 void QueryEngine::run_batch(const std::shared_ptr<BatchGroup>& group, bool shed) {
-  std::vector<JobRunner> members;
+  std::vector<BatchMember> members;
   {
     std::unique_lock<std::mutex> lock(batch_mutex_);
     if (!shed && !group->closed && config_.batch_window.count() > 0) {
@@ -579,7 +661,7 @@ void QueryEngine::run_batch(const std::shared_ptr<BatchGroup>& group, bool shed)
   }
   if (members.empty()) return;
   if (shed) {
-    for (JobRunner& member : members) member(true, nullptr);
+    for (BatchMember& member : members) member.run(true, nullptr);
     return;
   }
 
@@ -588,8 +670,9 @@ void QueryEngine::run_batch(const std::shared_ptr<BatchGroup>& group, bool shed)
   batch_fanin_hist_.observe(members.size());
   // One trace for the whole group: the root "batch" span carries the fan-in
   // and each member hangs its own child span (the solo span vocabulary) off
-  // it.  Members run back to back through the solo job body, and each is
-  // answered the moment its own scan ends.
+  // it.  Members go in arrival order: each run of consecutive linear full
+  // scans shares one pass (run_pass), and every other member runs on its
+  // own through the solo job body, answered the moment its own scan ends.
   BatchTrace batch;
   if (config_.tracer != nullptr) {
     batch.trace = config_.tracer->start_trace("batch");
@@ -597,7 +680,18 @@ void QueryEngine::run_batch(const std::shared_ptr<BatchGroup>& group, bool shed)
     batch.root.annotate("query_id", static_cast<double>(batch.trace->id()));
     batch.root.annotate("fan_in", static_cast<double>(members.size()));
   }
-  for (JobRunner& member : members) member(false, &batch);
+  for (std::size_t i = 0; i < members.size();) {
+    std::size_t end = i + 1;
+    if (members[i].scan != nullptr) {
+      while (end < members.size() && members[end].scan != nullptr) ++end;
+    }
+    if (end - i > 1) {
+      run_pass(std::span(members).subspan(i, end - i), &batch);
+    } else {
+      members[i].run(false, &batch);
+    }
+    i = end;
+  }
   batch.root.finish();
   if (batch.trace != nullptr) config_.tracer->finish(std::move(batch.trace));
 }

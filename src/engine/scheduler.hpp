@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -69,11 +70,14 @@ struct EngineConfig {
   std::size_t result_cache_entries = 256;  ///< whole-query results (0 disables)
   std::size_t cache_shards = 8;
   /// Batched admission: raster / shard-scan jobs on the same archive that
-  /// arrive while a group is open share ONE queue slot and run back to back
-  /// on one dispatcher, in arrival order.  Each member runs the solo job body
-  /// (result cache, executor, accounting) and is answered as soon as its own
-  /// scan ends, so its result is byte-identical to a solo run.  1 (the
-  /// default) disables batching entirely; N > 1 caps the fan-in at N.
+  /// arrive while a group is open share ONE queue slot and run on one
+  /// dispatcher, in arrival order.  Each run of consecutive linear full-scan
+  /// RasterJobs shares one pass over the band planes and is answered when
+  /// the pass ends; every other member runs the solo job body and is
+  /// answered as soon as its own scan ends.  Either way a member keeps its
+  /// own context, meter, cache probe and put, and its result is
+  /// byte-identical to a solo run.  1 (the default) disables batching
+  /// entirely; N > 1 caps the fan-in at N.
   std::size_t batch_max_fanin = 1;
   /// Once a dispatcher picks up an open group, how long it keeps waiting for
   /// batch-mates before running it.  0 runs it immediately — groups then form
@@ -319,21 +323,84 @@ class QueryEngine {
   /// `batch`.
   using JobRunner = std::function<void(bool shed, BatchTrace* batch)>;
 
+  /// A full-scan RasterJob with a linear model over the archive's bands, as
+  /// a batch member: what run_pass needs to score it in a shared pass
+  /// instead of running it.
+  struct PassScan {
+    RasterJob job;
+    std::shared_ptr<std::promise<RasterOutcome>> promise;
+    std::chrono::steady_clock::time_point submitted_at;
+  };
+
+  /// One member of a batch group: its solo runner, and its PassScan when it
+  /// may share a full-scan pass (null otherwise).
+  struct BatchMember {
+    JobRunner run;
+    std::shared_ptr<const PassScan> scan;
+  };
+
+  /// A dispatched job's state between the two halves of its envelope: the
+  /// outcome it builds, its start, its trace and span, and its context.
+  template <typename Outcome>
+  struct Envelope {
+    Outcome out;
+    std::chrono::steady_clock::time_point started;
+    std::shared_ptr<obs::Trace> trace;
+    obs::Span span;
+    QueryContext ctx;
+  };
+
   /// Admits `execute` (the job body: result cache, executor, cache put) as
   /// one job.  With batching on and a non-null `batch_key` (the archive the
   /// job scans), the job joins that key's open group instead of taking a
-  /// queue slot of its own.
+  /// queue slot of its own; `pass_scan`, when non-null, lets it share a
+  /// full-scan pass there.
   template <typename Outcome, typename Execute>
   std::future<Outcome> enqueue(const char* kind, const JobLimits& limits, Execute execute,
-                               const void* batch_key = nullptr);
+                               const void* batch_key = nullptr,
+                               const RasterJob* pass_scan = nullptr);
 
-  /// The per-job envelope every dispatched job runs, solo or batched: queue
-  /// wait to its own start, context, span, execution, accounting, and the
-  /// promise fulfilled with the outcome or the job's own exception.
+  /// The per-job envelope every job run on its own executes, solo or as a
+  /// batch member: begin_job, the job body, finish_job, and the promise
+  /// fulfilled with the outcome or the job's own exception.
   template <typename Outcome, typename Execute>
   void run_job(std::promise<Outcome>& promise, const char* kind, const JobLimits& limits,
                std::chrono::steady_clock::time_point submitted_at, const Execute& execute,
                bool shed, BatchTrace* batch);
+
+  /// The begin half of the envelope: dispatch order, queue wait from
+  /// submission to `started`, the job's own `query` trace (or a `member`
+  /// span under `batch`), and its configured context.
+  template <typename Outcome>
+  void begin_job(Envelope<Outcome>& env, const char* kind, const JobLimits& limits,
+                 std::chrono::steady_clock::time_point submitted_at,
+                 std::chrono::steady_clock::time_point started, BatchTrace* batch);
+
+  /// The finish half: budget books, exec time, meter publish, cache gauges,
+  /// span and trace close, and the promise fulfilled with the outcome.
+  template <typename Outcome>
+  void finish_job(Envelope<Outcome>& env, std::promise<Outcome>& promise, BatchTrace* batch);
+
+  /// Fulfils `promise` with the exception in flight and counts the failure.
+  template <typename Outcome>
+  void fail_job(std::promise<Outcome>& promise);
+
+  /// Runs consecutive PassScan members of one group as one shared full
+  /// scan: each member's begin half at one common start, in arrival order;
+  /// a result-cache hit is answered at once and leaves the pass; the rest
+  /// share one parallel_full_scan_top_k call, then each gets its cache put
+  /// and finish half, in arrival order.  Every probe precedes every put, so
+  /// members with one cacheable key all scan.
+  void run_pass(std::span<BatchMember> members, BatchTrace* batch);
+
+  /// The result-cache probe of a raster job: on a hit, answers `result`
+  /// from the cache and returns true.  Counts the hit or miss on `info`.
+  bool cached_result(const std::optional<QueryCacheKey>& key, RasterTopK& result,
+                     OutcomeInfo& info);
+
+  /// Caches `result` under `key` when it is admissible: not truncated, so it
+  /// does not depend on the query's budget or deadline.
+  void cache_result(const std::optional<QueryCacheKey>& key, const RasterTopK& result);
 
   /// Queues `task` at `priority`, or sheds it when the queue is full or the
   /// engine is stopping.
@@ -356,13 +423,14 @@ class QueryEngine {
   // registers the group and enqueues a single task (one queue slot per
   // group, however many members join); later submissions on the same
   // archive join for free until the fan-in cap closes the group.  The task
-  // waits out batch_window for stragglers, then runs the members back to
-  // back through run_job, in arrival order, answering each as its own scan
-  // ends.
+  // waits out batch_window for stragglers, then runs the members in arrival
+  // order: each run of consecutive linear full-scan RasterJobs as one
+  // shared pass (run_pass), every other member through run_job, answered as
+  // its own scan ends.
   struct BatchGroup;
 
   void join_batch(const void* key, Priority priority,
-                  std::chrono::steady_clock::time_point submitted_at, JobRunner member);
+                  std::chrono::steady_clock::time_point submitted_at, BatchMember member);
   void run_batch(const std::shared_ptr<BatchGroup>& group, bool shed);
 
   /// Result-cache key of a raster query, or nullopt when it is uncacheable:

@@ -163,8 +163,11 @@ OnionTopK OnionIndex::query(std::span<const double> weights, std::size_t k, doub
   OnionTopK out;
   TopK<std::uint32_t> top(k);
   const std::uint64_t ops_per_point = points_.dim();
+  // Offered under the id as rank, so exact ties keep the smallest ids: the
+  // canonical (score desc, id asc) top-K the sequential scan returns,
+  // whatever order the layers visit the points in.
   const auto evaluate = [&](std::uint32_t id) {
-    top.offer(sign * dot(points_.row(id), weights), id);
+    top.offer_ranked(sign * dot(points_.row(id), weights), id, id);
   };
 
   // Signed linear bound of a suffix box: max of sign*(w.x) over the box.
@@ -198,12 +201,14 @@ OnionTopK OnionIndex::query(std::span<const double> weights, std::size_t k, doub
 
   // The j-th best lies within the first j layers, so scanning min(k, L)
   // layers suffices; the suffix-box bound usually terminates much earlier —
-  // as soon as nothing at or below the current layer can beat the K-th best.
+  // as soon as nothing at or below the current layer can reach the K-th
+  // best.  Only a bound strictly below it stops the scan: a deeper point
+  // tying the K-th best with a smaller id still enters the canonical top-K.
   const std::size_t scan_layers = std::min(k, layers_.size());
   std::size_t evaluated = 0;
   bool terminated_early = false;
   for (std::size_t l = 0; l < scan_layers && !truncated; ++l) {
-    if (top.full() && box_bound(layer_boxes_[l]) <= top.threshold()) {
+    if (top.full() && box_bound(layer_boxes_[l]) < top.threshold()) {
       terminated_early = true;
       break;
     }
@@ -213,14 +218,14 @@ OnionTopK OnionIndex::query(std::span<const double> weights, std::size_t k, doub
   // When k exceeds the peeled depth the guarantee needs the leftovers too.
   if (k > layers_.size() && !terminated_early && !truncated) {
     for (std::size_t l = scan_layers; l < layers_.size() && !truncated; ++l) {
-      if (top.full() && box_bound(layer_boxes_[l]) <= top.threshold()) {
+      if (top.full() && box_bound(layer_boxes_[l]) < top.threshold()) {
         terminated_early = true;
         break;
       }
       if (!scan_ids(layers_[l], layer_boxes_[l], evaluated)) break;
     }
     if (!terminated_early && !truncated &&
-        !(top.full() && !residual_.empty() && box_bound(residual_box_) <= top.threshold())) {
+        !(top.full() && !residual_.empty() && box_bound(residual_box_) < top.threshold())) {
       (void)scan_ids(residual_, residual_box_, evaluated);
     }
   }

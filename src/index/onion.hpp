@@ -67,6 +67,8 @@ class OnionIndex {
 
   /// Top-k maximizers of w·x (best first).  Exact for any k: scans
   /// min(k, layer_count) layers plus the residual when k exceeds the peel.
+  /// Exact score ties keep the smaller ids, so the answer is the canonical
+  /// (score desc, id asc) top-K that scan_top_k returns.
   [[nodiscard]] std::vector<ScoredId> top_k(std::span<const double> weights, std::size_t k,
                                             CostMeter& meter) const;
 
@@ -96,7 +98,7 @@ class OnionIndex {
   std::vector<std::vector<std::uint32_t>> layers_;
   /// Suffix bounding boxes: layer_boxes_[i] covers every point in layers
   /// >= i plus the residual.  A query stops as soon as the suffix box's
-  /// linear bound cannot beat the current K-th best — usually well before K
+  /// linear bound falls below the current K-th best — usually well before K
   /// layers have been scanned.  Sound for any dimension (it is a plain box
   /// over the actual points, independent of hull exactness).
   std::vector<std::vector<Interval>> layer_boxes_;

@@ -13,9 +13,10 @@
 //      cache and the `batch` EXPLAIN span;
 //   3. batched ShardScanJobs against direct scan_shard_partial — the unit a
 //      shard server executes, including empty shards;
-//   4. the group contract: members run back to back in arrival order, each
-//      answered when its own scan ends, with its own queue wait, execution
-//      time and exception.
+//   4. the group contract: members run in arrival order, consecutive linear
+//      full scans as one shared pass (one start, answered when the pass
+//      ends), every other member answered when its own scan ends, each with
+//      its own queue wait, execution time and exception.
 //
 // Every case derives from a printed seed, so any failure reproduces
 // standalone.
@@ -23,11 +24,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -35,6 +39,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "archive/sharded.hpp"
@@ -795,6 +800,36 @@ TEST(BatchContract, ThrowingMemberFailsAloneAndMatesKeepTheirAnswers) {
   EXPECT_EQ(stats.failed, 1u);
 }
 
+TEST(BatchContract, LinearMemberWithTheWrongBandCountFailsAlone) {
+  // A linear full scan whose model has one band too many sits between
+  // linear batch-mates that would share a pass with it.  The executor
+  // rejects that model; only its own future may carry the error.
+  const TiledArchive& archive = scenario_pool()[0]->gen.tiled();
+  Rng rng(15);
+  const LinearRasterModel first(make_model(rng, archive.band_count()));
+  const LinearRasterModel second(make_model(rng, archive.band_count()));
+  const LinearRasterModel malformed(make_model(rng, archive.band_count() + 1));
+  const LinearRasterModel third(make_model(rng, archive.band_count()));
+  const LinearRasterModel fourth(make_model(rng, archive.band_count()));
+
+  QueryEngine engine(batch_config(5, 1));
+  auto futures =
+      submit_full_scans(engine, archive, {&first, &second, &malformed, &third, &fourth});
+  engine.resume();
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  }
+  expect_solo_full_scan(archive, first, futures[0].get());
+  expect_solo_full_scan(archive, second, futures[1].get());
+  EXPECT_THROW((void)futures[2].get(), Error);
+  expect_solo_full_scan(archive, third, futures[3].get());
+  expect_solo_full_scan(archive, fourth, futures[4].get());
+  engine.drain();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.failed, 1u);
+}
+
 TEST(BatchContract, MembersCarryTheirOwnQueueWaitAndExecTime) {
   // The first member sleeps 50 ms; the others are small scans.  Run back to
   // back, each member's queue wait runs to its own start, so it covers the
@@ -814,7 +849,9 @@ TEST(BatchContract, MembersCarryTheirOwnQueueWaitAndExecTime) {
   for (auto& f : futures) out.push_back(f.get());
 
   EXPECT_GE(out[0].exec_time, kSleep);
-  std::chrono::nanoseconds before{0};  // execution of the members ahead
+  // Execution of the members run before this member's pass began: the two
+  // linear members share one pass, which begins once the slow member ends.
+  std::chrono::nanoseconds before{0};
   for (std::size_t i = 0; i < out.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "member " << i);
     if (i > 0) {
@@ -822,7 +859,191 @@ TEST(BatchContract, MembersCarryTheirOwnQueueWaitAndExecTime) {
       EXPECT_LT(out[i].exec_time, out[0].exec_time);
     }
     EXPECT_GE(out[i].queue_wait, before);
-    before += out[i].exec_time;
+    if (i == 0) before += out[i].exec_time;
+  }
+}
+
+TEST(BatchContract, MembersOfOnePassShareAStartAndDispatchInArrivalOrder) {
+  // Four linear full scans, a non-linear one, then two more linear ones:
+  // the first four share one pass, the non-linear member runs on its own,
+  // and the last two share a second pass.  A member's start is its
+  // submission plus its queue wait, and its submission lies between two
+  // clock reads around its submit() call: the members of one pass must
+  // have one start inside all of their brackets.  Run back to back, each
+  // member would start after the scan before it ended.
+  ScenarioConfig cfg;
+  cfg.kind = ScenarioKind::kDense;
+  cfg.width = 256;
+  cfg.height = 256;
+  cfg.tile_size = 32;
+  cfg.seed = 77;
+  const GeneratedArchive scene = generate_scenario(cfg);
+  const TiledArchive& archive = scene.tiled();
+  Rng rng(14);
+  std::deque<LinearRasterModel> linear;
+  for (int i = 0; i < 6; ++i) linear.emplace_back(make_model(rng, archive.band_count()));
+  const HookedModel alone(make_model(rng, archive.band_count()), [] {});
+  const std::vector<const RasterModel*> models = {&linear[0], &linear[1], &linear[2], &linear[3],
+                                                  &alone,     &linear[4], &linear[5]};
+
+  QueryEngine engine(batch_config(models.size(), 1));
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> before_submit;
+  std::vector<Clock::time_point> after_submit;
+  std::vector<std::future<RasterOutcome>> futures;
+  for (const RasterModel* model : models) {
+    before_submit.push_back(Clock::now());
+    futures.push_back(std::move(submit_full_scans(engine, archive, {model})[0]));
+    after_submit.push_back(Clock::now());
+  }
+  engine.resume();
+  std::vector<RasterOutcome> out;
+  for (auto& f : futures) out.push_back(f.get());
+
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "member " << i);
+    expect_solo_full_scan(archive, *models[i], out[i]);
+    if (i > 0) {
+      EXPECT_EQ(out[i].dispatch_order, out[i - 1].dispatch_order + 1);
+    }
+  }
+  // The earliest and the latest possible start of each member.
+  const auto earliest = [&](std::size_t i) { return before_submit[i] + out[i].queue_wait; };
+  const auto latest = [&](std::size_t i) { return after_submit[i] + out[i].queue_wait; };
+  for (const auto& [first, end] : {std::pair<std::size_t, std::size_t>{0, 4}, {5, 7}}) {
+    for (std::size_t i = first; i < end; ++i) {
+      for (std::size_t j = first; j < end; ++j) {
+        EXPECT_LE(earliest(i), latest(j)) << "members " << i << " and " << j
+                                          << " of one pass did not start together";
+      }
+    }
+  }
+  // The non-linear member starts once the first pass is answered, and the
+  // second pass once the non-linear member is.
+  EXPECT_GE(latest(4), earliest(0) + out[0].exec_time);
+  EXPECT_GE(latest(5), earliest(4) + out[4].exec_time);
+}
+
+TEST(BatchParity, EngineMixedGroupMembersMatchTheirSoloRuns) {
+  // One group: linear full scans under budgets from 0 to the full cost in
+  // steps of 37 (consecutive ones share a pass), split by a non-linear full
+  // scan, a staged member and a tile-screened member that run on their own,
+  // plus a linear scan past its deadline and a cancelled one.  Every member
+  // returns, bills and books exactly what its solo serial run does: hits,
+  // status, bad points, missed-bound bytes, meter and budget_spent.  With an
+  // intra-query pool a budgeted member's trip, and a pruning member's bill,
+  // depend on the workers' interleaving, so that run keeps the unbudgeted
+  // full scans only.
+  const PooledScenario& pooled = *scenario_pool()[0];
+  const TiledArchive& archive = pooled.gen.tiled();
+  const std::uint64_t bands = archive.band_count();
+  const std::uint64_t full_cost = archive.pixel_count() * bands;
+  Rng rng(21);
+  const ProgressiveLinearModel staged(make_model(rng, bands), pooled.ranges);
+  const HookedModel nonlinear(make_model(rng, bands), [] {});
+  const LinearRasterModel screened(make_model(rng, bands));
+  const std::atomic<bool> cancelled{true};
+
+  enum class Kind { kBudget, kUnbounded, kDeadline, kCancelled, kNonLinear, kStaged, kScreened };
+  struct Member {
+    Kind kind;
+    std::uint64_t budget = std::numeric_limits<std::uint64_t>::max();
+    std::size_t k = 1;
+  };
+  std::vector<Member> members;
+  for (std::uint64_t budget = 0; budget <= full_cost; budget += 37) {
+    members.push_back({Kind::kBudget, budget});
+    switch (members.size()) {
+      case 5: members.push_back({Kind::kDeadline}); break;
+      case 9: members.push_back({Kind::kCancelled}); break;
+      case 40: members.push_back({Kind::kNonLinear}); break;
+      case 41: members.push_back({Kind::kUnbounded}); break;
+      case 120: members.push_back({Kind::kStaged}); break;
+      case 200: members.push_back({Kind::kScreened}); break;
+      default: break;
+    }
+  }
+  members.push_back({Kind::kUnbounded});
+  std::deque<LinearRasterModel> linear;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    members[i].k = 1 + i % 13;
+    linear.emplace_back(make_model(rng, bands));
+  }
+
+  for (const std::size_t threads : {0UL, 3UL}) {
+    SCOPED_TRACE(testing::Message() << "intra-query threads " << threads);
+    std::vector<std::size_t> run;  // indices of the members submitted
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (threads == 0 || members[i].kind == Kind::kUnbounded ||
+          members[i].kind == Kind::kNonLinear ||
+          (members[i].kind == Kind::kBudget && members[i].budget >= full_cost)) {
+        run.push_back(i);
+      }
+    }
+    EngineConfig config = batch_config(run.size(), 1);
+    config.intra_query_threads = threads;
+    QueryEngine engine(config);
+    std::vector<std::future<RasterOutcome>> futures;
+    for (const std::size_t i : run) {
+      const Member& m = members[i];
+      RasterJob job;
+      job.mode = RasterJob::Mode::kFullScan;
+      job.archive = &archive;
+      job.model = &linear[i];
+      job.k = m.k;
+      job.limits.op_budget = m.budget;
+      switch (m.kind) {
+        case Kind::kDeadline: job.limits.timeout = std::chrono::nanoseconds(1); break;
+        case Kind::kCancelled: job.limits.cancel = &cancelled; break;
+        case Kind::kNonLinear: job.model = &nonlinear; break;
+        case Kind::kStaged:
+          job.mode = RasterJob::Mode::kProgressiveModel;
+          job.progressive = &staged;
+          break;
+        case Kind::kScreened:
+          job.mode = RasterJob::Mode::kTileScreened;
+          job.model = &screened;
+          break;
+        default: break;
+      }
+      futures.push_back(engine.submit(job));
+    }
+    engine.resume();
+
+    std::size_t tripped = 0;
+    for (std::size_t r = 0; r < run.size(); ++r) {
+      const Member& m = members[run[r]];
+      SCOPED_TRACE(testing::Message() << "member " << run[r] << " kind "
+                                      << static_cast<int>(m.kind) << " budget " << m.budget);
+      const RasterOutcome got = futures[r].get();
+      QueryContext ctx;
+      ctx.with_op_budget(m.budget);
+      if (m.kind == Kind::kDeadline) {
+        ctx.with_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+      }
+      if (m.kind == Kind::kCancelled) ctx.with_cancel_flag(&cancelled);
+      CostMeter meter;
+      RasterTopK solo;
+      switch (m.kind) {
+        case Kind::kNonLinear: solo = full_scan_top_k(archive, nonlinear, m.k, ctx, meter); break;
+        case Kind::kStaged:
+          solo = progressive_model_top_k(archive, staged, m.k, ctx, meter);
+          break;
+        case Kind::kScreened:
+          solo = tile_screened_top_k(archive, screened, m.k, ctx, meter);
+          break;
+        default: solo = full_scan_top_k(archive, linear[run[r]], m.k, ctx, meter); break;
+      }
+      if (is_truncated(got.result.status)) ++tripped;
+      std::string why;
+      EXPECT_TRUE(same_as_solo(solo, MeterSnapshot(meter), ctx.spent(), got, why)) << why;
+    }
+    if (threads == 0) {
+      EXPECT_GT(tripped, 2u);
+      EXPECT_LT(tripped, run.size());
+    } else {
+      EXPECT_EQ(tripped, 0u);
+    }
   }
 }
 

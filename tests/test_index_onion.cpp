@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -487,6 +488,67 @@ TEST(ShardedOnion, ExactTiesMergeToTheSequentialScansIds) {
             for (std::size_t i = 0; i < expected.size(); ++i) {
               EXPECT_EQ(got->hits[i].id, expected[i].id) << "rank " << i;
               EXPECT_EQ(got->hits[i].score, expected[i].score) << "rank " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A single index on tie-storm tuples with integer weights: every top-K and
+// bottom-K must be the sequential scan's, id for id and score byte for
+// byte, however the layers order the tied points; a budget that stops the
+// query early must leave a certified prefix of that answer.
+TEST(Onion, ExactTiesReturnTheSequentialScansIds) {
+  const std::vector<std::vector<double>> weights = {
+      {1, 0, 0}, {1, 1, 0}, {2, -1, 1}, {0, 0, -1}, {1, 1, 1}, {-1, 2, 0}};
+  for (const std::size_t n : {60UL, 400UL, 2000UL}) {
+    for (const std::uint64_t seed : {5UL, 6UL}) {
+      const TupleSet points = tie_tuples(n, seed * 100 + n);
+      const OnionIndex index(points);
+      for (const auto& w : weights) {
+        for (const std::size_t k : {1UL, 2UL, 5UL, 12UL, 40UL}) {
+          for (const bool minimize : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed << " k " << k
+                                            << " minimize " << minimize << " w " << w[0] << ","
+                                            << w[1] << "," << w[2]);
+            CostMeter scan_meter;
+            const auto expected = minimize ? scan_bottom_k(points, w, k, scan_meter)
+                                           : scan_top_k(points, w, k, scan_meter);
+            QueryContext ctx;
+            CostMeter meter;
+            const OnionTopK got =
+                minimize ? index.bottom_k(w, k, ctx, meter) : index.top_k(w, k, ctx, meter);
+            EXPECT_EQ(got.status, ResultStatus::kComplete);
+            ASSERT_EQ(got.hits.size(), expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+              EXPECT_EQ(got.hits[i].id, expected[i].id) << "rank " << i;
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hits[i].score),
+                        std::bit_cast<std::uint64_t>(expected[i].score))
+                  << "rank " << i;
+            }
+            // Budgets that stop the query partway: the hits strictly better
+            // than the missed bound are a prefix of the exact answer.
+            const double sign = minimize ? -1.0 : 1.0;
+            for (const std::uint64_t budget : {3UL, 30UL, 120UL, 600UL}) {
+              QueryContext budgeted;
+              budgeted.with_op_budget(budget).with_check_interval(1);
+              CostMeter budget_meter;
+              const OnionTopK part = minimize ? index.bottom_k(w, k, budgeted, budget_meter)
+                                              : index.top_k(w, k, budgeted, budget_meter);
+              if (part.status == ResultStatus::kComplete) continue;
+              std::size_t certified = 0;
+              while (certified < part.hits.size() &&
+                     sign * part.hits[certified].score > sign * part.missed_bound) {
+                ++certified;
+              }
+              ASSERT_LE(certified, expected.size()) << "budget " << budget;
+              for (std::size_t i = 0; i < certified; ++i) {
+                EXPECT_EQ(part.hits[i].id, expected[i].id) << "budget " << budget << " rank " << i;
+                EXPECT_EQ(part.hits[i].score, expected[i].score)
+                    << "budget " << budget << " rank " << i;
+              }
             }
           }
         }

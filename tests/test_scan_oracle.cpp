@@ -24,7 +24,10 @@
 // every width from 1 to 67 and must return the reference's hits, score bytes
 // and bad points; a contraction canary (a multiply-add that a fused FMA
 // would round differently) must score exactly zero on both entries and on
-// every path.
+// every path.  Both entries are also called with spans of 1 to 17 members
+// (a batch group's shared pass), every member equal to its one-member call,
+// with the canary at every member position, and the rows × members loop
+// must match one-member scans under tripping budgets.
 //
 // The second half covers the per-pixel path the row kernel keeps for
 // non-linear models (a product of two bands plus a linear tail), alone and
@@ -40,6 +43,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -565,8 +569,8 @@ TEST(ScanOracle, RunsTyingTheThresholdExactlyKeepTheCanonicalAnswer) {
 }
 
 /// One compiled entry of the fused linear pass (exec::detail).
-using LinearRunEntry = std::uint64_t (*)(const TiledArchive&, const LinearModel&, std::size_t,
-                                         std::size_t, std::size_t, TopK<RasterHit>&, double*);
+using LinearRunEntry = void (*)(const TiledArchive&, std::span<exec::LinearRunMember>,
+                                std::size_t, std::size_t, std::size_t);
 
 /// What one entry returns over a whole archive: its hits and bad points.
 struct EntryScan {
@@ -583,8 +587,9 @@ EntryScan scan_with_entry(LinearRunEntry entry, const TiledArchive& archive,
   EntryScan out;
   for (std::size_t y = 0; y < archive.height(); ++y) {
     for (std::size_t x = 0; x < archive.width(); x += run) {
-      out.bad_points += entry(archive, model, x, y, std::min(run, archive.width() - x), top,
-                              sums.data());
+      exec::LinearRunMember member{&model, &top, sums.data(), 0};
+      entry(archive, std::span(&member, 1), x, y, std::min(run, archive.width() - x));
+      out.bad_points += member.bad;
     }
   }
   out.hits = exec::finalize(top);
@@ -675,30 +680,43 @@ TEST(ScanOracle, Avx2EntryMatchesTheBaselineEntryAndTheReferenceAtEveryWidth) {
   check_entry(&exec::detail::offer_linear_run_avx2, &exec::detail::offer_linear_run_baseline);
 }
 
+/// The contraction canary's scene: `bands` bands of kCanaryWidth×5 pixels,
+/// every sample 1-2^-30 in band `canary` and zero elsewhere.
+constexpr std::size_t kCanaryWidth = 37;
+
+OracleArchive canary_archive(std::size_t bands, std::size_t canary) {
+  constexpr std::size_t kHeight = 5;
+  const double eps = std::ldexp(1.0, -30);
+  std::vector<Grid> grids;
+  for (std::size_t b = 0; b < bands; ++b) {
+    Grid g(kCanaryWidth, kHeight);
+    for (std::size_t y = 0; y < kHeight; ++y) {
+      for (std::size_t x = 0; x < kCanaryWidth; ++x) g.at(x, y) = b == canary ? 1.0 - eps : 0.0;
+    }
+    grids.push_back(std::move(g));
+  }
+  return OracleArchive("canary", std::move(grids), 8);
+}
+
+/// The canary's model: weight 1+2^-30 on band `canary`, zero elsewhere,
+/// bias -1.
+LinearModel canary_model(std::size_t bands, std::size_t canary) {
+  std::vector<double> weights(bands, 0.0);
+  weights[canary] = 1.0 + std::ldexp(1.0, -30);
+  return LinearModel(std::move(weights), -1.0, {});
+}
+
 TEST(ScanOracle, ContractionCanaryScoresExactlyZeroOnBothEntriesAndEveryPath) {
   // w·p + bias with w = 1+2^-30, p = 1-2^-30, bias = -1: the product rounds
   // to 1 and the score is exactly +0.0, while a fused multiply-add keeps the
   // product exact (1-2^-60) and scores -2^-60.  The canary term sits at
   // every band position, after zero terms (0·0 = +0 leaves the sum alone),
   // so a contraction in any band group of the pass would show.
-  const double eps = std::ldexp(1.0, -30);
   for (const std::size_t bands : {1, 3, 4, 5, 9}) {
     for (std::size_t canary = 0; canary < bands; ++canary) {
-      constexpr std::size_t kWidth = 37;
-      constexpr std::size_t kHeight = 5;
-      std::vector<Grid> grids;
-      std::vector<double> weights(bands, 0.0);
-      weights[canary] = 1.0 + eps;
-      for (std::size_t b = 0; b < bands; ++b) {
-        Grid g(kWidth, kHeight);
-        for (std::size_t y = 0; y < kHeight; ++y) {
-          for (std::size_t x = 0; x < kWidth; ++x) g.at(x, y) = b == canary ? 1.0 - eps : 0.0;
-        }
-        grids.push_back(std::move(g));
-      }
-      const OracleArchive entry("canary", std::move(grids), 8);
+      const OracleArchive entry = canary_archive(bands, canary);
       const TiledArchive& archive = entry.tiled();
-      const LinearModel linear(weights, -1.0, {});
+      const LinearModel linear = canary_model(bands, canary);
       SCOPED_TRACE(testing::Message() << bands << " bands, canary band " << canary);
       const auto score = [&](std::span<const double> pixel) { return linear.evaluate(pixel); };
       const auto expected = oracle_top_k(archive, kK, score);
@@ -709,17 +727,215 @@ TEST(ScanOracle, ContractionCanaryScoresExactlyZeroOnBothEntriesAndEveryPath) {
       check_every_path(archive, LinearRasterModel(linear), expected);
       expect_oracle_hits(
           expected,
-          scan_with_entry(&exec::detail::offer_linear_run_baseline, archive, linear, kK, kWidth)
+          scan_with_entry(&exec::detail::offer_linear_run_baseline, archive, linear, kK,
+                          kCanaryWidth)
               .hits);
       if (exec::detail::host_has_avx2()) {
         expect_oracle_hits(
             expected,
-            scan_with_entry(&exec::detail::offer_linear_run_avx2, archive, linear, kK, kWidth)
+            scan_with_entry(&exec::detail::offer_linear_run_avx2, archive, linear, kK,
+                            kCanaryWidth)
                 .hits);
       }
     }
   }
   if (!exec::detail::host_has_avx2()) GTEST_SKIP() << "AVX2 half not run: " << kNoAvx2;
+}
+
+/// Calls `entry` directly on every row of `archive`, in runs of at most
+/// `run` pixels, with one member per model: member j offers into its own
+/// heap of capacity ks[j].
+std::vector<EntryScan> scan_members_with_entry(LinearRunEntry entry, const TiledArchive& archive,
+                                               std::span<const LinearModel> models,
+                                               std::span<const std::size_t> ks,
+                                               std::size_t run) {
+  const std::size_t count = models.size();
+  std::vector<TopK<RasterHit>> tops;
+  for (std::size_t j = 0; j < count; ++j) tops.emplace_back(ks[j]);
+  std::vector<std::vector<double>> sums(count, std::vector<double>(archive.width()));
+  std::vector<exec::LinearRunMember> members(count);
+  std::vector<EntryScan> out(count);
+  for (std::size_t y = 0; y < archive.height(); ++y) {
+    for (std::size_t x = 0; x < archive.width(); x += run) {
+      for (std::size_t j = 0; j < count; ++j) members[j] = {&models[j], &tops[j], sums[j].data(), 0};
+      entry(archive, members, x, y, std::min(run, archive.width() - x));
+      for (std::size_t j = 0; j < count; ++j) out[j].bad_points += members[j].bad;
+    }
+  }
+  for (std::size_t j = 0; j < count; ++j) out[j].hits = exec::finalize(tops[j]);
+  return out;
+}
+
+/// Member counts of a shared pass under test: one lane, a few, a full
+/// kPassLanes chunk and one past it.
+constexpr std::size_t kMemberCounts[] = {1, 2, 3, 5, 8, 16, 17};
+constexpr std::size_t kMaxMembers = 17;
+
+/// Checks `entry` with every member count of kMemberCounts on every width
+/// archive, in runs of whole rows and of 5 pixels.  Member j has its own
+/// model and a heap of 1, 5, 12 or every pixel in turn; its hits, score
+/// bytes and bad points must equal those of its one-member call, which
+/// must equal LinearModel::evaluate's.
+void check_entry_members(LinearRunEntry entry) {
+  std::uint64_t seed = 5000;
+  for (const auto& archive_entry : width_archives()) {
+    const TiledArchive& archive = archive_entry->tiled();
+    const std::size_t bands = archive.band_count();
+    const std::size_t capacities[] = {1, 5, kK, archive.pixel_count()};
+    std::vector<LinearModel> models;
+    std::vector<std::size_t> ks;
+    for (std::size_t j = 0; j < kMaxMembers; ++j) {
+      models.push_back(j % 5 == 4 ? positive_model(bands) : make_model(seed++, bands, j % 2 == 1));
+      ks.push_back(capacities[j % std::size(capacities)]);
+    }
+    for (const std::size_t run : {archive.width(), std::size_t{5}}) {
+      std::vector<EntryScan> solo;
+      for (std::size_t j = 0; j < kMaxMembers; ++j) {
+        SCOPED_TRACE(testing::Message() << archive_entry->name << " run " << run << " solo " << j);
+        solo.push_back(scan_with_entry(entry, archive, models[j], ks[j], run));
+        const auto score = [&](std::span<const double> pixel) {
+          return models[j].evaluate(pixel);
+        };
+        EXPECT_EQ(solo[j].bad_points, oracle_bad_points(archive, archive.pixel_count(), score));
+        expect_oracle_hits(oracle_top_k(archive, ks[j], score), solo[j].hits);
+      }
+      for (const std::size_t count : kMemberCounts) {
+        const std::vector<EntryScan> got = scan_members_with_entry(
+            entry, archive, std::span(models).first(count), std::span(ks).first(count), run);
+        for (std::size_t j = 0; j < count; ++j) {
+          SCOPED_TRACE(testing::Message() << archive_entry->name << " run " << run << " members "
+                                          << count << " member " << j << " k " << ks[j]);
+          EXPECT_EQ(got[j].bad_points, solo[j].bad_points);
+          expect_oracle_hits(solo[j].hits, got[j].hits);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanOracle, BaselineEntryScoresEveryMemberOfASharedPassAsItsOneMemberCall) {
+  check_entry_members(&exec::detail::offer_linear_run_baseline);
+}
+
+TEST(ScanOracle, Avx2EntryScoresEveryMemberOfASharedPassAsItsOneMemberCall) {
+  if (!exec::detail::host_has_avx2()) GTEST_SKIP() << kNoAvx2;
+  check_entry_members(&exec::detail::offer_linear_run_avx2);
+}
+
+TEST(ScanOracle, ContractionCanaryScoresExactlyZeroAtEveryMemberPosition) {
+  // The canary model at every position of a kMaxMembers-member pass, the
+  // other members random: a contraction in any member's lane would show.
+  for (const std::size_t bands : {1, 3, 4, 5, 9}) {
+    for (std::size_t canary = 0; canary < bands; ++canary) {
+      const OracleArchive entry = canary_archive(bands, canary);
+      const TiledArchive& archive = entry.tiled();
+      for (std::size_t position = 0; position < kMaxMembers; ++position) {
+        std::vector<LinearModel> models;
+        for (std::size_t j = 0; j < kMaxMembers; ++j) {
+          models.push_back(j == position ? canary_model(bands, canary)
+                                         : make_model(900 + j, bands, j % 2 == 0));
+        }
+        const std::vector<std::size_t> ks(kMaxMembers, kK);
+        std::vector<LinearRunEntry> entries = {&exec::detail::offer_linear_run_baseline};
+        if (exec::detail::host_has_avx2()) entries.push_back(&exec::detail::offer_linear_run_avx2);
+        for (const LinearRunEntry run_entry : entries) {
+          SCOPED_TRACE(testing::Message() << bands << " bands, canary band " << canary
+                                          << ", member " << position);
+          const std::vector<EntryScan> got =
+              scan_members_with_entry(run_entry, archive, models, ks, kCanaryWidth);
+          ASSERT_EQ(got[position].hits.size(), kK);
+          for (const RasterHit& hit : got[position].hits) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.score), 0u) << hit.score;
+          }
+        }
+      }
+    }
+  }
+  if (!exec::detail::host_has_avx2()) GTEST_SKIP() << "AVX2 half not run: " << kNoAvx2;
+}
+
+TEST(ScanOracle, RowsTimesMembersScanMatchesOneMemberScans) {
+  // exec::scan_rect_full over a span of members: linear members under
+  // budgets that trip them at different pixels (so some are granted part
+  // of a row and finish it alone), a non-linear member and unbounded ones,
+  // over the whole archive and an inner rectangle.  Each member's hits,
+  // score bytes, bad points, tally, bill, books and stop equal those of its
+  // one-member call.
+  std::vector<const OracleArchive*> scenes;
+  for (const auto& a : archives()) scenes.push_back(a.get());
+  for (const auto& a : width_archives()) {
+    if (a->tiled().width() == 67) scenes.push_back(a.get());  // 1 to 9 bands
+  }
+  std::uint64_t seed = 7000;
+  for (const OracleArchive* scene : scenes) {
+    const TiledArchive& archive = scene->tiled();
+    const std::size_t bands = archive.band_count();
+    const std::uint64_t cost = archive.pixel_count() * bands;
+    std::vector<std::unique_ptr<RasterModel>> models;
+    const std::uint64_t budgets[] = {std::numeric_limits<std::uint64_t>::max(),
+                                     0,
+                                     3,
+                                     cost / 7 + 1,
+                                     cost / 3 + 2,
+                                     std::numeric_limits<std::uint64_t>::max(),
+                                     cost - 1,
+                                     cost / 2 + 5};
+    constexpr std::size_t kCount = std::size(budgets);
+    for (std::size_t j = 0; j < kCount; ++j) {
+      const LinearModel linear = make_model(seed++, bands, j % 2 == 1);
+      if (j == 5 && bands >= 2) {
+        models.push_back(std::make_unique<ProductModel>(linear));
+      } else {
+        models.push_back(std::make_unique<LinearRasterModel>(linear));
+      }
+    }
+    struct Rect {
+      std::size_t x0, x1, y0, y1;
+    };
+    const Rect rects[] = {{0, archive.width(), 0, archive.height()},
+                          {archive.width() / 3, archive.width(), 1, archive.height()}};
+    for (const Rect& r : rects) {
+      struct Run {
+        std::unique_ptr<QueryContext> ctx = std::make_unique<QueryContext>();
+        std::unique_ptr<TopK<RasterHit>> top;
+        std::vector<double> scratch;
+        CostMeter meter;
+        exec::ScanTally tally;
+      };
+      const auto make_run = [&](std::size_t j) {
+        Run run;
+        run.ctx->with_op_budget(budgets[j]);
+        run.top = std::make_unique<TopK<RasterHit>>(1 + 3 * j);
+        return run;
+      };
+      std::vector<Run> shared;
+      for (std::size_t j = 0; j < kCount; ++j) shared.push_back(make_run(j));
+      std::vector<exec::ScanMember> members;
+      for (std::size_t j = 0; j < kCount; ++j) {
+        Run& run = shared[j];
+        members.push_back({models[j].get(), run.top.get(), &run.scratch, run.ctx.get(),
+                           &run.meter, &run.tally});
+      }
+      exec::scan_rect_full(archive, r.x0, r.x1, r.y0, r.y1, members);
+      for (std::size_t j = 0; j < kCount; ++j) {
+        SCOPED_TRACE(testing::Message() << scene->name << " rect x0 " << r.x0 << " member "
+                                        << j << " budget " << budgets[j]);
+        Run solo = make_run(j);
+        exec::scan_rect_full(archive, *models[j], r.x0, r.x1, r.y0, r.y1, *solo.top,
+                             solo.scratch, *solo.ctx, solo.meter, solo.tally);
+        Run& got = shared[j];
+        expect_oracle_hits(exec::finalize(*solo.top), exec::finalize(*got.top));
+        EXPECT_EQ(got.tally.pixels, solo.tally.pixels);
+        EXPECT_EQ(got.tally.bad_points, solo.tally.bad_points);
+        EXPECT_EQ(got.meter.points(), solo.meter.points());
+        EXPECT_EQ(got.meter.ops(), solo.meter.ops());
+        EXPECT_EQ(got.meter.bytes(), solo.meter.bytes());
+        EXPECT_EQ(got.ctx->spent(), solo.ctx->spent());
+        EXPECT_EQ(got.ctx->stop_reason(), solo.ctx->stop_reason());
+        EXPECT_EQ(got.ctx->bad_points(), solo.ctx->bad_points());
+      }
+    }
+  }
 }
 
 TEST(ScanOracle, MixedBatchWithTrippingMembersMatchesSoloRuns) {
